@@ -36,41 +36,40 @@ class SnapshotEstimator:
         self.sample_size = int(self.live.total_live_edges)
         self.max_batch_cells = max_batch_cells
 
-    def _reach_from(self, seed_sets: list[np.ndarray]) -> np.ndarray:
-        """r_{G(i)}(seed set) for every (seed set, layer i) pair; returns a
-        (len(seed_sets), τ) matrix. Chunked over pairs."""
-        n = self.graph.n
+    def _reach_from(
+        self, base: np.ndarray, extra: np.ndarray | None = None
+    ) -> np.ndarray:
+        """r_{G(i)}(base + extra[j]) per candidate j and layer i, a
+        (len(extra), τ) matrix; without ``extra``, the (1, τ) row of
+        r_{G(i)}(base). ``max_batch_cells // n`` pairs (at least τ) share
+        one ``reach_batch`` call: a batch boundary, not a memory budget, and
+        it may split a candidate's layers."""
         tau = self.tau
-        pairs = len(seed_sets) * tau
+        pairs = tau * (1 if extra is None else len(extra))
         out = np.empty(pairs, dtype=np.int64)
-        per_chunk = max(tau, (self.max_batch_cells // max(1, n)) // 1)
+        per_chunk = max(tau, self.max_batch_cells // max(1, self.graph.n))
         for lo in range(0, pairs, per_chunk):
-            hi = min(pairs, lo + per_chunk)
-            B = hi - lo
-            layer = (np.arange(lo, hi, dtype=np.int64)) % tau
-            set_idx = (np.arange(lo, hi, dtype=np.int64)) // tau
-            lens = np.array([len(seed_sets[i]) for i in set_idx])
-            seed_b = np.repeat(np.arange(B, dtype=np.int64), lens)
-            seed_v = np.concatenate(
-                [seed_sets[i] for i in set_idx]
-            ).astype(np.int64) if lens.sum() else np.empty(0, np.int64)
-            res = reach_batch(self.live, layer, seed_b, seed_v, B)
-            out[lo:hi] = res.reached
+            pair = np.arange(lo, min(pairs, lo + per_chunk), dtype=np.int64)
+            B = len(pair)
+            seed_b = np.repeat(np.arange(B, dtype=np.int64), len(base))
+            seed_v = np.broadcast_to(base, (B, len(base))).ravel()
+            if extra is not None:
+                seed_b = np.concatenate((seed_b, np.arange(B)))
+                seed_v = np.concatenate((seed_v, extra[pair // tau]))
+            res = reach_batch(self.live, pair % tau, seed_b, seed_v, B)
+            out[lo : lo + B] = res.reached
             self.vertex_cost += res.vertex_cost
             self.edge_cost += res.edge_cost
-        return out.reshape(len(seed_sets), tau)
+        return out.reshape(-1, tau)
 
     def estimate_all(self, current_seeds: np.ndarray) -> np.ndarray:
-        n = self.graph.n
         current = np.asarray(current_seeds, dtype=np.int64)
         if len(current):
-            base = self._reach_from([current])[0]  # r_i(S), scanned once
+            base = self._reach_from(current)[0]  # r_i(S), scanned once
         else:
             base = np.zeros(self.tau, dtype=np.int64)
-        cand_sets = [
-            np.concatenate([current, [v]]) for v in range(n)
-        ]
-        reach = self._reach_from(cand_sets)  # (n, τ)
+        candidates = np.arange(self.graph.n, dtype=np.int64)
+        reach = self._reach_from(current, candidates)  # (n, τ)
         return (reach - base[None, :]).mean(axis=1)
 
     def update(self, chosen: int) -> None:  # noqa: ARG002 — per Alg 3.3

@@ -5,8 +5,9 @@ estimator per influence graph — 10⁷ RR sets ℛ_𝒢, Inf(S) ≈ n · F_ℛ(
 identical seed sets get identical estimates across algorithms and trials.
 We build the collection distributed (batches of RR sets generated in
 ``mapInPandas`` workers over the broadcast graph) and evaluate either
-locally (bitmap over RR ids; used inside the trial runner) or as a Spark
-join (used to verify the dataflow path against DuckDB in tests).
+locally (distinct RR ids over the seeds' vertex ranges; used inside the
+trial runner) or as a Spark join (used to verify the dataflow path against
+DuckDB in tests).
 
 The 99% confidence half-width for an estimate is 1.288·n/√θ (a Bernoulli
 proportion at z = 2.576), as in the paper.
@@ -71,7 +72,8 @@ def _from_membership(n: int, theta: int, rr_id, vertex) -> RROracle:
 def build_oracle_local(
     graph: CSRGraph, theta: int, base_seed: int = 7
 ) -> RROracle:
-    """Single-process build (tests, small θ)."""
+    """Single-process build: one ``rr_batch`` call over all θ targets
+    (its memory follows the Σ|R| entries, not θ·n)."""
     rng = trial_rng(base_seed, 0)
     res = rr_batch(graph, random_targets(graph.n, theta, rng), rng)
     return _from_membership(graph.n, theta, res.rr_id, res.vertex)

@@ -1,8 +1,9 @@
 """Batched forward IC simulation (the Oneshot primitive).
 
-A batch of B independent diffusions runs as one frontier-expansion BFS over
-the disjoint union of B copies of the graph (vertex key = batch·n + v), with
-a fresh coin per examined edge — exactly the naive Oneshot of Algorithm 3.2.
+A batch of B independent diffusions runs as one :func:`repro.ic.expand` BFS
+over the out-edges of B disjoint copies of the graph (vertex key =
+batch·n + v), with a fresh coin per examined edge — exactly the naive
+Oneshot of Algorithm 3.2.
 
 Traversal-cost accounting follows the paper's appendix: every activated
 vertex is scanned once (vertex cost) and all of its out-edges are examined
@@ -14,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.graphs.csr import CSRGraph
-from repro.ic import gather_edges
+from repro.ic import expand
 
 
 @dataclass
@@ -34,28 +35,12 @@ def simulate_batch(
     """Run ``n_batches`` IC diffusions; simulation i starts from the seed
     vertices ``seed_v[seed_b == i]``."""
     n = graph.n
-    key = np.unique(seed_b.astype(np.int64) * n + seed_v.astype(np.int64))
-    active = np.zeros(n_batches * n, dtype=bool)
-    active[key] = True
-    f_b, f_v = key // n, key % n
-    vertex_cost = 0
-    edge_cost = 0
-    while len(f_v):
-        vertex_cost += len(f_v)
-        eidx, owner = gather_edges(graph.out_indptr, f_v)
-        edge_cost += len(eidx)
-        if len(eidx) == 0:
-            break
-        hit = rng.random(len(eidx)) < graph.out_p[eidx]
-        tkey = f_b[owner[hit]] * n + graph.out_dst[eidx[hit]]
-        tkey = np.unique(tkey)
-        tkey = tkey[~active[tkey]]
-        active[tkey] = True
-        f_b, f_v = tkey // n, tkey % n
-    counts = np.bincount(
-        np.flatnonzero(active) // n, minlength=n_batches
-    ).astype(np.int64)
-    return SimBatchResult(counts, vertex_cost, edge_cost)
+    active, edge_cost = expand(
+        graph.out_indptr, graph.out_dst, graph.out_p,
+        seed_b.astype(np.int64) * n + seed_v, n, rng,
+    )
+    counts = np.bincount(active // n, minlength=n_batches).astype(np.int64)
+    return SimBatchResult(counts, len(active), edge_cost)
 
 
 def simulate_single_seeds(
@@ -69,8 +54,9 @@ def simulate_single_seeds(
     """β simulations from ``{base_seeds} ∪ {v}`` for every candidate v.
 
     Returns per-candidate *summed* activation counts over the β runs (divide
-    by β for the Oneshot estimate). Chunked so the batch × n state array
-    stays under ``max_batch_cells`` cells.
+    by β for the Oneshot estimate). The simulations run in chunks of
+    ``max_batch_cells // n``; the chunk boundaries fix the RNG stream, not
+    a memory budget (the visited set grows with the keys visited).
     """
     base = (
         np.asarray(base_seeds, dtype=np.int64)

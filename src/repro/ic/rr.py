@@ -3,7 +3,8 @@
 An RR set for target z is the set of vertices that reach z in G ~ 𝒢
 (Definition 3.1); it is generated by a reverse BFS from z that examines each
 visited vertex's in-edges with a fresh coin (Borgs et al.'s reverse
-simulation). A batch of θ RR sets runs as one disjoint-union BFS.
+simulation). A batch of θ RR sets runs as one :func:`repro.ic.expand` BFS
+over the in-edges of θ disjoint copies of the graph.
 
 Costs per the paper (§3.5.2): vertex cost = |R| (so E = EPT), edge cost =
 w(R) = Σ_{v∈R} d⁻(v) — every in-edge of a visited vertex is examined.
@@ -13,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.graphs.csr import CSRGraph
-from repro.ic import gather_edges
+from repro.ic import expand
 
 
 @dataclass
@@ -32,28 +33,16 @@ def rr_batch(
     """Generate one RR set per entry of ``targets`` (vertex ids)."""
     n = graph.n
     theta = len(targets)
-    key = np.arange(theta, dtype=np.int64) * n + targets.astype(np.int64)
-    active = np.zeros(theta * n, dtype=bool)
-    active[key] = True
-    f_b, f_v = key // n, key % n
-    while len(f_v):
-        eidx, owner = gather_edges(graph.in_indptr, f_v)
-        if len(eidx) == 0:
-            break
-        hit = rng.random(len(eidx)) < graph.in_p[eidx]
-        tkey = f_b[owner[hit]] * n + graph.in_src[eidx[hit]]
-        tkey = np.unique(tkey)
-        tkey = tkey[~active[tkey]]
-        active[tkey] = True
-        f_b, f_v = tkey // n, tkey % n
-    members = np.flatnonzero(active)
-    rr_id, vertex = members // n, members % n
+    members, edge_cost = expand(
+        graph.in_indptr, graph.in_src, graph.in_p,
+        np.arange(theta, dtype=np.int64) * n + targets, n, rng,
+    )
+    rr_id, vertex = np.divmod(members, n)
     sizes = np.bincount(rr_id, minlength=theta).astype(np.int64)
-    in_deg = graph.in_degree()
-    weights = np.zeros(theta, dtype=np.int64)
-    np.add.at(weights, rr_id, in_deg[vertex])
+    in_deg = graph.in_indptr[vertex + 1] - graph.in_indptr[vertex]
+    weights = np.bincount(rr_id, in_deg, minlength=theta).astype(np.int64)
     return RRBatchResult(
-        rr_id, vertex, sizes, weights, int(sizes.sum()), int(weights.sum())
+        rr_id, vertex, sizes, weights, len(members), edge_cost
     )
 
 
@@ -70,7 +59,10 @@ def rr_sets(
     rng: np.random.Generator,
     max_batch_cells: int = 50_000_000,
 ) -> RRBatchResult:
-    """θ RR sets for uniformly random targets, chunked for memory."""
+    """θ RR sets for uniformly random targets, in chunks of
+    ``max_batch_cells // n`` sets. Each chunk draws its targets and then its
+    coins, so the chunk boundaries fix the RNG stream; memory follows the
+    keys visited, not the chunk size."""
     per_chunk = max(1, max_batch_cells // max(1, graph.n))
     parts: list[RRBatchResult] = []
     done = 0

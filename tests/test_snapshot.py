@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.algorithms.snapshot import SnapshotEstimator
 from repro.ic.exact import exact_singleton_influences
+from repro.ic.live import reach_batch
 from tests.helpers import path_graph, random_tiny_graph
 
 
@@ -99,3 +100,40 @@ def test_chunking_consistency():
     small = SnapshotEstimator(g, 7, rng2, max_batch_cells=13)
     b = small.estimate_all(np.empty(0, np.int64))
     assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("seeds", [[], [4], [4, 0, 9]])
+def test_reach_from_matches_per_candidate_reference(seeds):
+    # The vectorised candidate batches equal one reach_batch call per
+    # (candidate, layer) pair, in values and in charged cost — with chunks
+    # of 7 pairs that split a candidate's 5 layers, and candidates in S.
+    rng = np.random.default_rng(21)
+    g = random_tiny_graph(rng, n=12, m=30)
+    tau = 5
+    est = SnapshotEstimator(g, tau, rng, max_batch_cells=7 * g.n)
+    S = np.array(seeds, dtype=np.int64)
+    layers = np.arange(tau)
+    ref_cost = [0, 0]
+
+    def ref_reach(seed_set):
+        row = []
+        for i in layers:
+            res = reach_batch(
+                est.live, np.array([i]), np.zeros(len(seed_set), np.int64),
+                np.asarray(seed_set, dtype=np.int64), 1,
+            )
+            row.append(res.reached[0])
+            ref_cost[0] += res.vertex_cost
+            ref_cost[1] += res.edge_cost
+        return row
+
+    ref = np.array([ref_reach(np.append(S, v)) for v in range(g.n)])
+    base = np.array(ref_reach(S)) if len(S) else np.zeros(tau, np.int64)
+
+    got = est.estimate_all(S)
+    assert np.array_equal(got, (ref - base).mean(axis=1))
+    assert [est.vertex_cost, est.edge_cost] == ref_cost
+    assert (got[S] == 0).all()  # v ∈ S adds nothing
+    assert np.array_equal(est._reach_from(S, np.arange(g.n)), ref)
+    if len(S):
+        assert np.array_equal(est._reach_from(S)[0], base)
