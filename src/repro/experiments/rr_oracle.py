@@ -4,7 +4,9 @@ The paper evaluates every recorded seed set with one fixed unbiased
 estimator per influence graph — 10⁷ RR sets ℛ_𝒢, Inf(S) ≈ n · F_ℛ(S) — so
 identical seed sets get identical estimates across algorithms and trials.
 We build the collection distributed (batches of RR sets generated in
-``mapInPandas`` workers over the broadcast graph) and evaluate either
+one ``mapInPandas`` stage over the broadcast graph, at most one task per
+core, each batch shipped as int32 membership sorted by vertex so the
+driver's stable sort only merges sorted runs) and evaluate either
 locally (distinct RR ids over the seeds' vertex ranges; used inside the
 trial runner) or as a Spark join (used to verify the dataflow path against
 DuckDB in tests).
@@ -64,8 +66,7 @@ def _from_membership(n: int, theta: int, rr_id, vertex) -> RROracle:
     v_sorted = np.asarray(vertex)[order]
     ids_sorted = np.asarray(rr_id)[order]
     indptr = np.zeros(n + 1, dtype=np.int64)
-    np.add.at(indptr, v_sorted + 1, 1)
-    np.cumsum(indptr, out=indptr)
+    np.cumsum(np.bincount(v_sorted, minlength=n), out=indptr[1:])
     return RROracle(n, theta, indptr, ids_sorted.astype(np.int64))
 
 
@@ -86,43 +87,43 @@ def build_oracle(
     base_seed: int = 7,
     batch_size: int = 8192,
 ) -> RROracle:
-    """Distributed build: RR batches fan out over executors."""
+    """Distributed build: RR batches fan out over executors in one stage.
+
+    Batch b holds the RR sets ``b·batch_size …`` (only the last batch is
+    short, so the ids are dense) drawn from ``trial_rng(base_seed, b)``.
+    """
+    assert max(theta, graph.n) < 2**31, "membership travels as int32"
     n_batches = (theta + batch_size - 1) // batch_size
-    tasks = spark.createDataFrame(
-        pd.DataFrame(
-            {
-                "batch": np.arange(n_batches, dtype=np.int64),
-                "count": np.minimum(
-                    batch_size, theta - np.arange(n_batches) * batch_size
-                ).astype(np.int64),
-            }
-        )
-    ).repartition(max(1, min(n_batches, spark.sparkContext.defaultParallelism)))
+    n_parts = max(1, min(n_batches, spark.sparkContext.defaultParallelism))
     bc = spark.sparkContext.broadcast(graph)
 
     def gen(batches):
         g = bc.value
         for pdf in batches:
-            for batch, count in zip(pdf["batch"], pdf["count"]):
+            for batch in pdf["id"]:
+                first = int(batch) * batch_size
+                count = min(batch_size, theta - first)
                 rng = trial_rng(base_seed, int(batch))
-                res = rr_batch(
-                    g, random_targets(g.n, int(count), rng), rng
-                )
+                res = rr_batch(g, random_targets(g.n, count, rng), rng)
+                # Members come sorted by (rr id, vertex); a stable sort by
+                # vertex keeps the rr ids ascending within each vertex.
+                order = np.argsort(res.vertex, kind="stable")
                 yield pd.DataFrame(
                     {
-                        "rr_id": res.rr_id + int(batch) * batch_size,
-                        "vertex": res.vertex,
+                        "rr_id": (res.rr_id[order] + first).astype(np.int32),
+                        "vertex": res.vertex[order].astype(np.int32),
                     }
                 )
 
-    membership = tasks.mapInPandas(gen, schema="rr_id long, vertex long")
-    pdf = membership.toPandas()
-    # Re-densify rr ids (per-batch offsets leave gaps when a batch is short).
-    uniq, dense = np.unique(pdf["rr_id"].to_numpy(), return_inverse=True)
-    assert len(uniq) == theta, "every RR set contains its target"
-    return _from_membership(
-        graph.n, theta, dense, pdf["vertex"].to_numpy()
+    membership = spark.range(n_batches, numPartitions=n_parts).mapInPandas(
+        gen, schema="rr_id int, vertex int"
     )
+    pdf = membership.toPandas()
+    rr_id = pdf["rr_id"].to_numpy()
+    assert np.bincount(rr_id, minlength=theta).all(), (
+        "every RR set contains its target"
+    )
+    return _from_membership(graph.n, theta, rr_id, pdf["vertex"].to_numpy())
 
 
 def estimate_df(

@@ -84,17 +84,24 @@ def test_run_trials_spark(spark, karate):
 
 
 def test_run_trials_matches_local(spark, karate):
-    # The distributed path must produce byte-identical rows to the local
-    # path (same SeedSequence per task).
+    # The distributed path must produce identical rows to the local path
+    # (same SeedSequence per task), whichever partition runs a trial; with
+    # more trials than cores, every partition runs several of each cell.
     g, oracle = karate
-    tasks = [TrialTask("Karate", "UC_0.1", "ris", 64, 1, t) for t in range(4)]
-    dist = {
-        (r["trial"]): (r["seed_set"], r["influence"])
-        for r in run_trials(spark, g, oracle, tasks).collect()
-    }
+    cores = spark.sparkContext.defaultParallelism
+    tasks = sweep_tasks(
+        "Karate", "UC_0.1", 2,
+        {"oneshot": [1, 4], "snapshot": [1, 4], "ris": [16, 64]},
+        cores + 1,
+    )
+    df = run_trials(spark, g, oracle, tasks)
+    assert df.rdd.getNumPartitions() == min(len(tasks), cores)
+    key = ("alg", "sample_number", "trial")
+    dist = {tuple(r[c] for c in key): r.asDict() for r in df.collect()}
+    assert len(dist) == len(tasks)
     for t in tasks:
         local = run_trial_local(g, oracle, t, base_seed=2020)
-        assert dist[t.trial] == (local["seed_set"], local["influence"])
+        assert dist[tuple(local[c] for c in key)] == local
 
 
 def test_influence_uses_shared_oracle(karate):
