@@ -8,11 +8,12 @@
 * A trial is *near-optimal* if its influence ≥ 0.95 × reference.
 * Table 5 reports, per algorithm, the least sample number s* whose
   near-optimal fraction over T trials is ≥ 99%, and the entropy H* at s*.
+
+Everything here works on the trial rows collected to the driver as one
+pandas frame (``tables.table5`` collects them once).
 """
 import numpy as np
 import pandas as pd
-from pyspark.sql import DataFrame
-from pyspark.sql import functions as F
 
 from repro.experiments.entropy import GROUP, seed_set_entropy
 
@@ -41,35 +42,24 @@ def reference_influence(trials_pdf: pd.DataFrame) -> pd.DataFrame:
     return pd.DataFrame(rows)
 
 
-def near_optimal_fraction(trials: DataFrame, refs: pd.DataFrame) -> DataFrame:
-    """Fraction of near-optimal trials per experiment group (Spark)."""
-    refs_df = trials.sparkSession.createDataFrame(
-        refs[INSTANCE + ["ref_influence"]]
-    )
-    return (
-        trials.join(refs_df, INSTANCE)
-        .withColumn(
-            "ok",
-            (
-                F.col("influence")
-                >= F.lit(NEAR_OPTIMAL) * F.col("ref_influence")
-            ).cast("double"),
-        )
-        .groupBy(*GROUP)
-        .agg(
-            F.avg("ok").alias("frac_near_optimal"),
-            F.count("*").alias("trials"),
-        )
+def near_optimal_fraction(
+    trials: pd.DataFrame, refs: pd.DataFrame
+) -> pd.DataFrame:
+    """Fraction of near-optimal trials per experiment group."""
+    df = trials.merge(refs[INSTANCE + ["ref_influence"]], on=INSTANCE)
+    ok = df["influence"] >= NEAR_OPTIMAL * df["ref_influence"]
+    return df.assign(ok=ok).groupby(GROUP, as_index=False).agg(
+        frac_near_optimal=("ok", "mean"), trials=("ok", "size")
     )
 
 
 def least_sample_number(
-    trials: DataFrame, refs: pd.DataFrame
+    trials: pd.DataFrame, refs: pd.DataFrame
 ) -> pd.DataFrame:
     """Table 5 rows: per (instance, alg) the least s with ≥99% near-optimal
     trials, plus entropy at that s. NaN when no grid value qualifies."""
-    frac = near_optimal_fraction(trials, refs).toPandas()
-    ent = seed_set_entropy(trials).toPandas()
+    frac = near_optimal_fraction(trials, refs)
+    ent = seed_set_entropy(trials)
     merged = frac.merge(ent[GROUP + ["entropy"]], on=GROUP)
     rows = []
     for keys, g in merged.groupby(INSTANCE + ["alg"]):

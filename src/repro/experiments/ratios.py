@@ -7,27 +7,24 @@ least grid value whose mean influence is ≥ alg₁'s mean at s₁; the number
 ratio is s₂/s₁ and the size ratio uses the measured mean sample sizes.
 Tables 6/7 report the median ratio over the s₁ grid (the ratio is stable in
 s₁ — "improves at the same rate up to scaling").
+
+The mean statistics are aggregated with pandas over the trial rows that
+``tables.table6_and_7`` collects once.
 """
 import numpy as np
 import pandas as pd
-from pyspark.sql import DataFrame
-from pyspark.sql import functions as F
 
 from repro.experiments.entropy import GROUP
 
 INSTANCE = ["network", "setting", "k"]
 
 
-def mean_stats(trials: DataFrame) -> pd.DataFrame:
+def mean_stats(trials: pd.DataFrame) -> pd.DataFrame:
     """Mean influence and mean sample size per experiment group."""
-    return (
-        trials.groupBy(*GROUP)
-        .agg(
-            F.avg("influence").alias("mean_influence"),
-            F.avg("sample_size").alias("mean_sample_size"),
-            F.count("*").alias("trials"),
-        )
-        .toPandas()
+    return trials.groupby(GROUP, as_index=False).agg(
+        mean_influence=("influence", "mean"),
+        mean_sample_size=("sample_size", "mean"),
+        trials=("influence", "size"),
     )
 
 

@@ -4,6 +4,7 @@ import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
 
 from repro.experiments import quality, ratios
+from repro.experiments.entropy import GROUP
 from repro.experiments.instances import Sweep
 from repro.experiments.rr_oracle import RROracle, build_oracle
 from repro.experiments.runner import run_trials, sweep_tasks
@@ -76,14 +77,15 @@ def table4(
 
 
 def table5(trials: DataFrame) -> pd.DataFrame:
-    refs = quality.reference_influence(
-        trials.toPandas()
-    )
-    return quality.least_sample_number(trials, refs)
+    """Collect the trial columns Table 5 needs once; aggregate in pandas."""
+    pdf = trials.select(*GROUP, "seed_set", "influence").toPandas()
+    return quality.least_sample_number(pdf, quality.reference_influence(pdf))
 
 
 def table6_and_7(trials: DataFrame) -> tuple[pd.DataFrame, pd.DataFrame]:
-    stats = ratios.mean_stats(trials)
+    """Collect the trial columns Tables 6–7 need once; aggregate in pandas."""
+    pdf = trials.select(*GROUP, "influence", "sample_size").toPandas()
+    stats = ratios.mean_stats(pdf)
     return ratios.table6(stats), ratios.table7(stats)
 
 

@@ -1,4 +1,4 @@
-"""Entropy analytics: util function and Spark aggregation vs DuckDB."""
+"""Entropy analytics: util function and the pandas aggregation vs DuckDB."""
 import math
 
 import numpy as np
@@ -34,42 +34,40 @@ class TestEntropyBits:
         assert -1e-9 <= h <= math.log2(len(counts)) + 1e-9
 
 
-def _trials_df(spark, rows):
-    return spark.createDataFrame(
-        pd.DataFrame(
-            rows,
-            columns=[
-                "network", "setting", "alg", "sample_number", "k", "seed_set",
-            ],
-        ).assign(trial=0, influence=0.0)
-    )
+def _trials_df(rows):
+    return pd.DataFrame(
+        rows,
+        columns=[
+            "network", "setting", "alg", "sample_number", "k", "seed_set",
+        ],
+    ).assign(trial=0, influence=0.0)
 
 
-def test_spark_entropy_matches_util(spark):
+def test_spark_entropy_matches_util():
     rows = (
         [("N", "S", "a", 1, 1, "0")] * 6
         + [("N", "S", "a", 1, 1, "1")] * 2
         + [("N", "S", "a", 2, 1, "0")] * 8
     )
-    df = _trials_df(spark, rows)
+    df = _trials_df(rows)
     got = {
         (r["sample_number"]): r["entropy"]
-        for r in seed_set_entropy(df).collect()
+        for r in seed_set_entropy(df).to_dict("records")
     }
     assert got[1] == pytest.approx(entropy_bits([6, 2]))
     assert got[2] == pytest.approx(0.0)
 
 
-def test_spark_entropy_against_duckdb(spark):
+def test_spark_entropy_against_duckdb():
     rng = np.random.default_rng(0)
     rows = [
         ("N", "S", "a", int(s), 1, str(rng.integers(0, 5)))
         for s in rng.integers(1, 4, 200)
     ]
-    df = _trials_df(spark, rows)
-    got = seed_set_entropy(df).select(
-        "network", "setting", "alg", "sample_number", "k", "entropy"
-    )
+    df = _trials_df(rows)
+    got = seed_set_entropy(df)[
+        ["network", "setting", "alg", "sample_number", "k", "entropy"]
+    ]
     assert_equivalent(
         got,
         """
@@ -92,8 +90,8 @@ def test_spark_entropy_against_duckdb(spark):
     )
 
 
-def test_entropy_capped_by_log_trials(spark):
+def test_entropy_capped_by_log_trials():
     rows = [("N", "S", "a", 1, 1, str(i)) for i in range(32)]
-    df = _trials_df(spark, rows)
-    h = seed_set_entropy(df).collect()[0]["entropy"]
+    df = _trials_df(rows)
+    h = seed_set_entropy(df)["entropy"].iloc[0]
     assert h == pytest.approx(5.0)  # log2(32), all distinct

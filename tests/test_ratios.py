@@ -4,6 +4,7 @@ import pandas as pd
 import pytest
 
 from repro.experiments import ratios
+from repro.oracle import assert_equivalent
 
 
 def _stats(rows):
@@ -82,7 +83,7 @@ def test_multiple_instances_grouped():
     assert byname["B"] == 2.0
 
 
-def test_mean_stats_spark(spark):
+def test_mean_stats_spark():
     pdf = pd.DataFrame(
         {
             "network": ["N"] * 4,
@@ -96,7 +97,36 @@ def test_mean_stats_spark(spark):
             "sample_size": [10, 20, 40, 40],
         }
     )
-    stats = ratios.mean_stats(spark.createDataFrame(pdf))
+    stats = ratios.mean_stats(pdf)
     row8 = stats[stats["sample_number"] == 8].iloc[0]
     assert row8["mean_influence"] == 3.0
     assert row8["mean_sample_size"] == 15.0
+
+
+def test_mean_stats_against_duckdb():
+    rng = np.random.default_rng(11)
+    rows = []
+    for net, setting, k in [("A", "IWC", 1), ("A", "IWC", 4),
+                            ("B", "UC_0.01", 1)]:
+        for alg in ("oneshot", "snapshot", "ris"):
+            for s in (1, 2, 4, 8, 16):
+                for t in range(int(rng.integers(3, 25))):
+                    rows.append((
+                        net, setting, alg, s, k, t, "0",
+                        float(rng.uniform(1, 50)), int(rng.integers(0, 500)),
+                    ))
+    trials = pd.DataFrame(rows, columns=[
+        "network", "setting", "alg", "sample_number", "k", "trial",
+        "seed_set", "influence", "sample_size",
+    ])
+    assert_equivalent(
+        ratios.mean_stats(trials),
+        """
+        SELECT network, setting, alg, sample_number, k,
+               AVG(influence) AS mean_influence,
+               AVG(sample_size) AS mean_sample_size,
+               COUNT(*) AS trials
+        FROM trials GROUP BY ALL
+        """,
+        trials=trials,
+    )
