@@ -12,6 +12,12 @@ primitives wrap it:
 * :mod:`repro.ic.dataflow` — pure Spark DataFrame implementations of the
   same primitives (iterative-join BFS), cross-checked against the kernels.
 
+Coins are drawn per examined edge, as in the paper's naive simulations.
+Where every edge of a row shares one p (UC; IWC in-edges; OWC out-edges;
+see ``CSRGraph.out_p_row``), a level tests its draws against the rows' p
+and builds edge indices only for the surviving edges; other rows gather
+every edge's index and p. Both give the same draws and the same edges.
+
 The visited set is a sorted key array, so memory is proportional to the
 keys visited, not to B·n. Traversal cost follows the paper (§3.2): every
 visited vertex is scanned once (vertex cost); edges examined = edge cost.
@@ -43,6 +49,7 @@ def expand(
     n: int,
     rng: np.random.Generator | None = None,
     layer: np.ndarray | None = None,
+    p_row: np.ndarray | None = None,
 ) -> tuple[np.ndarray, int]:
     """BFS from the keys ``key`` (b·n + v; any order, duplicates allowed).
 
@@ -51,21 +58,41 @@ def expand(
     ``p``, edge e survives a coin with probability ``p[e]``; coins are drawn
     per level in sorted-frontier order, then adjacency order. Returns the
     sorted visited keys and the number of edges examined.
+
+    ``p_row[r]``, when given, is the probability every edge of row r
+    shares (``CSRGraph.out_p_row`` / ``in_p_row``). The level then tests
+    the same draws against the frontier rows' p repeated over their edges
+    and locates only the surviving edges, by binary search over the rows'
+    running edge ends; no per-edge index or ``p`` gather is built. Without
+    it (rows of varying p, live layers without coins) a level gathers all
+    its edges with :func:`gather_edges`.
     """
     frontier = np.unique(key)
     seen = np.append(frontier, _END)
     edges = 0
     while len(frontier):
         b, v = np.divmod(frontier, n)
-        eidx, owner = gather_edges(
-            indptr, v if layer is None else layer[b] * n + v
-        )
-        edges += len(eidx)
-        if not len(eidx):
-            break
-        if p is not None:
-            hit = rng.random(len(eidx)) < p[eidx]
-            eidx, owner = eidx[hit], owner[hit]
+        row = v if layer is None else layer[b] * n + v
+        if p_row is None:
+            eidx, owner = gather_edges(indptr, row)
+            edges += len(eidx)
+            if not len(eidx):
+                break
+            if p is not None:
+                hit = rng.random(len(eidx)) < p[eidx]
+                eidx, owner = eidx[hit], owner[hit]
+        else:
+            hi = indptr[row + 1]
+            cnt = hi - indptr[row]
+            ends = cnt.cumsum()
+            n_edges = int(ends[-1])
+            edges += n_edges
+            if not n_edges:
+                break
+            pos = (rng.random(n_edges) < p_row[row].repeat(cnt)).nonzero()[0]
+            owner = ends.searchsorted(pos, side="right")
+            # Edge pos of the level is row owner's edge hi − (ends − pos).
+            eidx = pos + (hi - ends)[owner]
         tkey = (frontier - v)[owner] + nbr[eidx]
         tkey.sort()
         # New keys: not visited yet, first of each run of duplicates.

@@ -38,6 +38,7 @@ def simulate_batch(
     active, edge_cost = expand(
         graph.out_indptr, graph.out_dst, graph.out_p,
         seed_b.astype(np.int64) * n + seed_v, n, rng,
+        p_row=graph.out_p_row,
     )
     counts = np.bincount(active // n, minlength=n_batches).astype(np.int64)
     return SimBatchResult(counts, len(active), edge_cost)

@@ -36,6 +36,7 @@ def rr_batch(
     members, edge_cost = expand(
         graph.in_indptr, graph.in_src, graph.in_p,
         np.arange(theta, dtype=np.int64) * n + targets, n, rng,
+        p_row=graph.in_p_row,
     )
     rr_id, vertex = np.divmod(members, n)
     sizes = np.bincount(rr_id, minlength=theta).astype(np.int64)

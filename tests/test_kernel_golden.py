@@ -32,6 +32,8 @@ def _ba(m_per_vertex: int, seed: int, setting: str) -> CSRGraph:
     edges = generators.barabasi_albert(1000, m_per_vertex, seed=seed)
     if setting == "IWC":
         p = 1.0 / edges.groupby("dst")["dst"].transform("size")
+    elif setting == "OWC":
+        p = 1.0 / edges.groupby("src")["src"].transform("size")
     else:
         p = float(setting.removeprefix("UC_"))
     return from_pandas(edges[["src", "dst"]].assign(p=p), 1000)
@@ -41,25 +43,29 @@ def _ba(m_per_vertex: int, seed: int, setting: str) -> CSRGraph:
 def graphs():
     return {
         "BA_s IWC": _ba(1, 46, "IWC"),
+        "BA_s OWC": _ba(1, 46, "OWC"),
         "BA_d UC_0.1": _ba(11, 47, "UC_0.1"),
         "BA_d UC_0.01": _ba(11, 47, "UC_0.01"),
     }
 
 
-# Recorded from the dense-bitmap kernels that preceded ``expand``; a kernel
-# change must reproduce them, not regenerate them.
+# Recorded from the dense-bitmap kernels that preceded ``expand`` (the two
+# BA_s OWC entries from ``expand``'s per-edge coins, before row-constant
+# coins); a kernel change must reproduce them, not regenerate them.
 GOLDEN = {
     # "<case> <graph>": (vertex_cost, edge_cost, digest); the oracle keeps
     # no counters, so it pins its entry count Σ|R| (its RR vertex cost).
     "forward BA_s IWC": (26359, 27146, -565993119226105619),
     "forward BA_d UC_0.1": (1099299, 15304615, 2274137261219788008),
     "forward BA_d UC_0.01": (11730, 274841, 3701334916212655742),
+    "forward BA_s OWC": (19855, 37876, -5897213288568510503),
     "oracle BA_s IWC": (9544, 7729075550391115398),
     "oracle BA_d UC_0.1": (596331, -24039013780734819),
     "oracle BA_d UC_0.01": (4654, -9137368373637659980),
     "rr BA_s IWC": (7055, 9491, 7862565367862840863),
     "rr BA_d UC_0.1": (442248, 6130128, 4598092860585091877),
     "rr BA_d UC_0.01": (3395, 39598, 1809684453123372212),
+    "rr BA_s OWC": (6757, 5557, -1873429929975598785),
     "snapshot BA_s IWC": (112033, 88142, -4808401250791282908),
     "snapshot BA_d UC_0.1": (3098746, 4285414, 6435273147431535373),
     "snapshot BA_d UC_0.01": (37525, 13546, 3559445910486651809),
@@ -104,9 +110,9 @@ CASES = {"forward": _forward, "snapshot": _snapshot, "rr": _rr,
          "oracle": _oracle}
 
 
-@pytest.mark.parametrize("graph_name", ["BA_s IWC", "BA_d UC_0.1",
-                                        "BA_d UC_0.01"])
-@pytest.mark.parametrize("case", sorted(CASES))
+@pytest.mark.parametrize(
+    "case,graph_name", [tuple(k.split(" ", 1)) for k in sorted(GOLDEN)]
+)
 def test_kernel_golden(graphs, case, graph_name):
     got = CASES[case](graphs[graph_name])
     assert tuple(int(x) for x in got) == GOLDEN[f"{case} {graph_name}"]

@@ -3,7 +3,9 @@
 A dense visited bitmap over B disjoint graph copies costs B·n bytes —
 about 100 MB for 2048 sets on a 50k-vertex graph — even when each set
 visits a handful of vertices. These checks bound the peak allocation of
-one kernel call on such a sparse instance.
+one kernel call on such a sparse instance, and, on a hub whose 200k edges
+share p = 0.01, the bytes per examined edge of a coin level: failed coins
+need no per-edge index arrays.
 """
 import tracemalloc
 
@@ -12,6 +14,7 @@ import pandas as pd
 import pytest
 
 from repro.graphs.csr import from_pandas
+from repro.ic.forward import simulate_batch
 from repro.ic.live import reach_batch, sample_live_set
 from repro.ic.rr import random_targets, rr_batch
 
@@ -63,3 +66,46 @@ def test_reach_batch_peak_memory(sparse_graph):
 
     assert _peak_bytes(run) < LIMIT
     assert res.reached.min() >= 1 and len(res.reached) == BATCH
+
+
+STAR_EDGES = 200_000
+BYTES_PER_EDGE = 24  # per-edge int64 index and owner arrays cost ~33
+
+
+def _star(outward: bool):
+    """One hub joined to 200k leaves at p = 0.01, hub → leaf or leaf → hub."""
+    hub = np.zeros(STAR_EDGES, dtype=np.int64)
+    leaf = np.arange(1, STAR_EDGES + 1, dtype=np.int64)
+    src, dst = (hub, leaf) if outward else (leaf, hub)
+    return from_pandas(
+        pd.DataFrame({"src": src, "dst": dst, "p": 0.01}), STAR_EDGES + 1
+    )
+
+
+def test_simulate_batch_coin_memory_per_edge():
+    g = _star(outward=True)
+    rng = np.random.default_rng(34)
+    res = None
+
+    def run():
+        nonlocal res
+        res = simulate_batch(g, np.zeros(1, np.int64), np.zeros(1, np.int64),
+                             1, rng)
+
+    peak = _peak_bytes(run)
+    assert res.edge_cost == STAR_EDGES
+    assert peak < BYTES_PER_EDGE * STAR_EDGES
+
+
+def test_rr_batch_coin_memory_per_edge():
+    g = _star(outward=False)
+    rng = np.random.default_rng(35)
+    res = None
+
+    def run():
+        nonlocal res
+        res = rr_batch(g, np.zeros(1, np.int64), rng)
+
+    peak = _peak_bytes(run)
+    assert res.edge_cost == STAR_EDGES
+    assert peak < BYTES_PER_EDGE * STAR_EDGES
