@@ -6,10 +6,8 @@ identical seed sets get identical estimates across algorithms and trials.
 We build the collection distributed (batches of RR sets generated in
 one ``mapInPandas`` stage over the broadcast graph, at most one task per
 core, each batch shipped as int32 membership sorted by vertex so the
-driver's stable sort only merges sorted runs) and evaluate either
-locally (distinct RR ids over the seeds' vertex ranges; used inside the
-trial runner) or as a Spark join (used to verify the dataflow path against
-DuckDB in tests).
+driver's stable sort only merges sorted runs) and evaluate it locally:
+distinct RR ids over the seeds' vertex ranges, inside the trial runner.
 
 The 99% confidence half-width for an estimate is 1.288·n/√θ (a Bernoulli
 proportion at z = 2.576), as in the paper.
@@ -18,8 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import pandas as pd
-from pyspark.sql import DataFrame, SparkSession
-from pyspark.sql import functions as F
+from pyspark.sql import SparkSession
 
 from repro.graphs.csr import CSRGraph
 from repro.ic.rr import rr_batch, random_targets
@@ -55,10 +52,6 @@ class RROracle:
         """Inf({v}) for all v in one pass (Table 4's workhorse)."""
         counts = np.diff(self.vert_indptr)
         return self.n * counts / self.theta
-
-    def membership_pandas(self) -> pd.DataFrame:
-        vertex = np.repeat(np.arange(self.n), np.diff(self.vert_indptr))
-        return pd.DataFrame({"rr_id": self.rr_ids, "vertex": vertex})
 
 
 def _from_membership(n: int, theta: int, rr_id, vertex) -> RROracle:
@@ -124,32 +117,3 @@ def build_oracle(
         "every RR set contains its target"
     )
     return _from_membership(graph.n, theta, rr_id, pdf["vertex"].to_numpy())
-
-
-def estimate_df(
-    spark: SparkSession, oracle: RROracle, seed_sets: DataFrame
-) -> DataFrame:
-    """Spark-join evaluation: seed_sets (set_id, vertex) → (set_id, influence).
-
-    The dataflow twin of :meth:`RROracle.estimate`; oracle-checked against
-    DuckDB in tests. Sets whose vertices cover no RR set get influence 0.
-    """
-    membership = spark.createDataFrame(oracle.membership_pandas())
-    covered = (
-        seed_sets.join(membership, "vertex")
-        .select("set_id", "rr_id")
-        .distinct()
-        .groupBy("set_id")
-        .agg(F.count("*").alias("covered"))
-    )
-    return (
-        seed_sets.select("set_id").distinct()
-        .join(covered, "set_id", "left")
-        .select(
-            "set_id",
-            (
-                F.coalesce(F.col("covered"), F.lit(0))
-                * oracle.n / oracle.theta
-            ).alias("influence"),
-        )
-    )

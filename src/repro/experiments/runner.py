@@ -11,9 +11,9 @@ the cost is the number of tasks, not the trials: a trivial ``mapInPandas``
 job took 0.19–0.34 s with 2 tasks, 0.80–0.87 s with 8 and 1.5–1.8 s with
 16 (4 vCPUs, ``local[2]``), while a test-profile trial takes under a
 millisecond. Each trial's randomness is keyed by its task (``trial_rng``),
-so rows do not depend on the deal. All downstream
-statistics (entropy, means, percentiles, least sample numbers) are
-DataFrame aggregations over the returned trial table.
+so rows do not depend on the deal. The downstream statistics (entropy,
+means, least sample numbers) collect the columns they need from the
+returned trial table once and aggregate them in pandas (``tables.py``).
 
 Trial-result schema:
   network, setting, alg, sample_number, k, trial,

@@ -1,15 +1,21 @@
-"""Table assembly: glue between sweeps, analytics, and the job scripts."""
+"""Table assembly: one call per evaluation table (Tables 3–9).
+
+Each ``tableN`` builds its table from the sweeps, the shared oracle and the
+analytics modules; ``jobs/cli.py`` only parses arguments and writes files.
+"""
 import numpy as np
 import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
 
 from repro.experiments import quality, ratios
 from repro.experiments.entropy import GROUP
-from repro.experiments.instances import Sweep
+from repro.experiments.instances import Sweep, traversal_instances
 from repro.experiments.rr_oracle import RROracle, build_oracle
 from repro.experiments.runner import run_trials, sweep_tasks
-from repro.graphs import assign_probabilities, build_network, to_csr
+from repro.experiments.traversal import table8_rows, table9_rows
+from repro.graphs import NETWORKS, assign_probabilities, build_network, to_csr
 from repro.graphs.csr import CSRGraph
+from repro.graphs.stats import table3_row
 
 
 def load_influence_graph(
@@ -52,6 +58,28 @@ def run_sweep(spark: SparkSession, sweep: Sweep) -> DataFrame:
     return run_trials(spark, graph, oracle, tasks)
 
 
+def table3(spark: SparkSession, networks=None) -> pd.DataFrame:
+    """Network statistics for every registered network (or ``networks``)."""
+    rows = []
+    for name in networks or NETWORKS:
+        spec = NETWORKS[name]
+        edges = build_network(spark, name)
+        row = table3_row(
+            edges, to_csr(edges),
+            with_distance=name in ("Karate", "BA_s", "BA_d"),
+        )
+        rows.append(
+            {
+                "network": name,
+                "kind": spec.kind,
+                "paper_n": spec.paper_n,
+                "paper_m": spec.paper_m,
+                **row,
+            }
+        )
+    return pd.DataFrame(rows)
+
+
 def table4(
     spark: SparkSession,
     networks=("BA_s", "BA_d"),
@@ -87,6 +115,22 @@ def table6_and_7(trials: DataFrame) -> tuple[pd.DataFrame, pd.DataFrame]:
     pdf = trials.select(*GROUP, "influence", "sample_size").toPandas()
     stats = ratios.mean_stats(pdf)
     return ratios.table6(stats), ratios.table7(stats)
+
+
+def table8(spark: SparkSession, profile: str = "quick") -> pd.DataFrame:
+    """Per-sample traversal cost at k = 1, sample number 1."""
+    rows = []
+    for net, setting, trials, with_oneshot in traversal_instances(profile):
+        graph = cached_graph(spark, net, setting)
+        rows.extend(table8_rows(graph, net, setting, trials, with_oneshot))
+    return pd.DataFrame(rows)
+
+
+def table9(trials: DataFrame, t8: pd.DataFrame) -> pd.DataFrame:
+    """Traversal cost conditioned on identical accuracy: Table 8's cost
+    times the comparable number ratio to Snapshot (Tables 6–7), as in §6."""
+    t6, t7 = table6_and_7(trials)
+    return table9_rows(t8, t6, t7)
 
 
 def to_markdown(df: pd.DataFrame, floatfmt: str = "{:.4g}") -> str:

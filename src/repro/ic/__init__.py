@@ -9,8 +9,6 @@ primitives wrap it:
 * :mod:`repro.ic.rr` — reverse-reachable set generation (RIS).
 * :mod:`repro.ic.exact` — exact influence by live-graph enumeration (tiny
   graphs; test oracle).
-* :mod:`repro.ic.dataflow` — pure Spark DataFrame implementations of the
-  same primitives (iterative-join BFS), cross-checked against the kernels.
 
 Coins are drawn per examined edge, as in the paper's naive simulations.
 Where every edge of a row shares one p (UC; IWC in-edges; OWC out-edges;

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.experiments.entropy import seed_set_entropy
-from repro.oracle import assert_equivalent
+from tests.duckdb_oracle import assert_equivalent
 from repro.util import entropy_bits
 
 

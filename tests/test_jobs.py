@@ -1,9 +1,11 @@
-"""Smoke tests: every table job runs end-to-end at the test profile."""
+"""Smoke tests: every table runs end-to-end at the test profile."""
 import os
 import sys
 
 import pandas as pd
 import pytest
+
+from repro.experiments import tables
 
 JOBS_DIR = os.path.join(os.path.dirname(os.path.dirname(__file__)), "jobs")
 if JOBS_DIR not in sys.path:
@@ -12,17 +14,19 @@ if JOBS_DIR not in sys.path:
 
 @pytest.fixture(scope="module")
 def trials(spark, tmp_path_factory):
-    import run_sweeps
+    import cli
 
-    out = str(tmp_path_factory.mktemp("trials"))
-    run_sweeps.run(spark, profile="test", out_dir=out)
-    return run_sweeps.load_trials(spark, out).cache()
+    # A relative --out from another working directory: the CLI must hand
+    # Spark a path resolved against this process's directory.
+    tmp = tmp_path_factory.mktemp("trials")
+    with pytest.MonkeyPatch.context() as mp:
+        mp.chdir(tmp)
+        cli.main(["sweeps", "--profile", "test", "--out", "trials"])
+    return cli.load_trials(spark, str(tmp / "trials")).cache()
 
 
 def test_table3_job(spark):
-    import table3_network_stats
-
-    t3 = table3_network_stats.run(spark, networks=["Karate", "BA_s"])
+    t3 = tables.table3(spark, networks=["Karate", "BA_s"])
     assert list(t3["network"]) == ["Karate", "BA_s"]
     karate = t3[t3["network"] == "Karate"].iloc[0]
     assert karate["n"] == 34 and karate["m"] == 156
@@ -30,9 +34,7 @@ def test_table3_job(spark):
 
 
 def test_table4_job(spark):
-    import table4_top_influence
-
-    t4 = table4_top_influence.run(spark, theta=1 << 13)
+    t4 = tables.table4(spark, theta=1 << 13)
     assert len(t4) == 8  # 2 networks × 4 settings
     assert (t4["inf_1st"] >= t4["inf_2nd"]).all()
     assert (t4["inf_2nd"] >= t4["inf_3rd"]).all()
@@ -50,26 +52,20 @@ def test_sweep_parquet_shape(trials):
 
 
 def test_table5_job(spark, trials):
-    import table5_least_sample_number
-
-    t5 = table5_least_sample_number.run(spark, trials)
+    t5 = tables.table5(trials)
     assert set(t5["alg"]) == {"oneshot", "snapshot", "ris"}
     # Each (setting, alg) appears once for k=1.
     assert len(t5) == 6
 
 
 def test_table6_job(spark, trials):
-    import table6_oneshot_vs_snapshot
-
-    t6 = table6_oneshot_vs_snapshot.run(spark, trials)
+    t6 = tables.table6_and_7(trials)[0]
     assert len(t6) == 2  # two settings in the test profile
     assert "median_number_ratio" in t6.columns
 
 
 def test_table7_job(spark, trials):
-    import table7_ris_vs_snapshot
-
-    t7 = table7_ris_vs_snapshot.run(spark, trials)
+    t7 = tables.table6_and_7(trials)[1]
     assert len(t7) == 2
     # RIS samples are smaller than Snapshot's on Karate (size ratio < 1 is
     # the paper's space-saving finding; keep a loose bound here).
@@ -77,9 +73,7 @@ def test_table7_job(spark, trials):
 
 
 def test_table8_job(spark):
-    import table8_traversal_cost
-
-    t8 = table8_traversal_cost.run(spark, profile="test")
+    t8 = tables.table8(spark, profile="test")
     assert set(t8["alg"]) == {"oneshot", "snapshot", "ris"}
     k = t8.set_index("alg")
     # Karate UC_0.1 shape: vertex cost Oneshot ≈ Snapshot ≫ RIS.
@@ -90,18 +84,13 @@ def test_table8_job(spark):
 
 
 def test_table9_job(spark, trials):
-    import table8_traversal_cost
-    import table9_conditioned_cost
-
-    t8 = table8_traversal_cost.run(spark, profile="test")
-    t9 = table9_conditioned_cost.run(spark, trials, t8)
+    t8 = tables.table8(spark, profile="test")
+    t9 = tables.table9(trials, t8)
     assert set(t9["alg"]) == {"oneshot", "snapshot", "ris"}
     assert (t9["cost_per_gamma"].dropna() > 0).all()
 
 
 def test_to_markdown_renders():
-    from repro.experiments.tables import to_markdown
-
-    md = to_markdown(pd.DataFrame({"a": [1.23456], "b": ["x"]}))
+    md = tables.to_markdown(pd.DataFrame({"a": [1.23456], "b": ["x"]}))
     assert md.splitlines()[0] == "| a | b |"
     assert "1.235" in md

@@ -4,7 +4,7 @@ from pyspark.sql import functions as F
 
 from repro.graphs import assign_probabilities, build_network
 from repro.graphs.probability import SETTINGS
-from repro.oracle import assert_equivalent
+from tests.duckdb_oracle import assert_equivalent
 
 
 @pytest.fixture(scope="module")

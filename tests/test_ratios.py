@@ -4,7 +4,7 @@ import pandas as pd
 import pytest
 
 from repro.experiments import ratios
-from repro.oracle import assert_equivalent
+from tests.duckdb_oracle import assert_equivalent
 
 
 def _stats(rows):

@@ -1,18 +1,11 @@
-"""Shared RR influence oracle: build paths, evaluation, DuckDB checks."""
+"""Shared RR influence oracle: build paths and evaluation."""
 import numpy as np
-import pandas as pd
 import pytest
-from pyspark.sql import functions as F
 
-from repro.experiments.rr_oracle import (
-    build_oracle,
-    build_oracle_local,
-    estimate_df,
-)
+from repro.experiments.rr_oracle import build_oracle, build_oracle_local
 from repro.graphs import assign_probabilities, build_network, to_csr
 from repro.ic.rr import random_targets, rr_batch
 from repro.ic.exact import exact_influence, exact_singleton_influences
-from repro.oracle import assert_equivalent
 from repro.util import trial_rng
 from tests.helpers import path_graph, random_tiny_graph
 
@@ -93,49 +86,3 @@ def test_ci_formula(karate_graph):
         1.288 * 34 / np.sqrt(1 << 12)
     )
 
-
-def test_estimate_df_matches_local(spark, karate_graph):
-    oracle = build_oracle_local(karate_graph, 2000)
-    sets = {0: [0], 1: [33], 2: [0, 33], 3: [5, 9, 20]}
-    rows = [
-        {"set_id": sid, "vertex": v} for sid, vs in sets.items() for v in vs
-    ]
-    seed_df = spark.createDataFrame(pd.DataFrame(rows))
-    got = estimate_df(spark, oracle, seed_df).toPandas()
-    for sid, vs in sets.items():
-        expect = oracle.estimate(vs)
-        val = got.loc[got["set_id"] == sid, "influence"].iloc[0]
-        assert float(val) == pytest.approx(expect)
-
-
-def test_estimate_df_against_duckdb(spark, karate_graph):
-    oracle = build_oracle_local(karate_graph, 1000)
-    seed_df = spark.createDataFrame(
-        pd.DataFrame({"set_id": [0, 0, 1], "vertex": [0, 33, 7]})
-    )
-    got = estimate_df(spark, oracle, seed_df)
-    assert_equivalent(
-        got,
-        f"""
-        WITH covered AS (
-          SELECT s.set_id, m.rr_id
-          FROM seeds s JOIN membership m ON s.vertex = m.vertex
-          GROUP BY s.set_id, m.rr_id
-        )
-        SELECT s.set_id,
-               COALESCE(c.cnt, 0) * {oracle.n} / {oracle.theta}.0 AS influence
-        FROM (SELECT DISTINCT set_id FROM seeds) s
-        LEFT JOIN (
-          SELECT set_id, COUNT(*) AS cnt FROM covered GROUP BY set_id
-        ) c USING (set_id)
-        """,
-        seeds=seed_df,
-        membership=oracle.membership_pandas(),
-    )
-
-
-def test_membership_pandas_shape(karate_graph):
-    oracle = build_oracle_local(karate_graph, 500)
-    pdf = oracle.membership_pandas()
-    assert len(pdf) == len(oracle.rr_ids)
-    assert pdf["rr_id"].nunique() == 500

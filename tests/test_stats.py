@@ -9,7 +9,7 @@ from repro.graphs.stats import (
     degree_stats,
     table3_row,
 )
-from repro.oracle import assert_equivalent
+from tests.duckdb_oracle import assert_equivalent
 from pyspark.sql import functions as F
 
 from tests.helpers import graph_from_edges, path_graph
