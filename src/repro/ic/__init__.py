@@ -48,6 +48,7 @@ def expand(
     rng: np.random.Generator | None = None,
     layer: np.ndarray | None = None,
     p_row: np.ndarray | None = None,
+    blocked: np.ndarray | None = None,
 ) -> tuple[np.ndarray, int]:
     """BFS from the keys ``key`` (b·n + v; any order, duplicates allowed).
 
@@ -64,6 +65,11 @@ def expand(
     running edge ends; no per-edge index or ``p`` gather is built. Without
     it (rows of varying p, live layers without coins) a level gathers all
     its edges with :func:`gather_edges`.
+
+    ``blocked``, a ``bool`` mask over the rows, counts as already visited:
+    a new key whose row is blocked is dropped, so it is neither returned
+    nor expanded. Edges into blocked rows are still examined and counted.
+    The start keys are not tested.
     """
     frontier = np.unique(key)
     seen = np.append(frontier, _END)
@@ -97,6 +103,10 @@ def expand(
         fresh = seen[np.searchsorted(seen, tkey)] != tkey
         fresh[1:] &= tkey[1:] != tkey[:-1]
         frontier = tkey[fresh]
+        if blocked is not None:
+            b, v = np.divmod(frontier, n)
+            row = v if layer is None else layer[b] * n + v
+            frontier = frontier[~blocked[row]]
         # Timsort merges the two sorted runs in linear time.
         seen = np.concatenate((seen, frontier))
         seen.sort(kind="stable")

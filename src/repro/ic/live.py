@@ -52,10 +52,6 @@ class LiveGraphSet:
     def total_live_edges(self) -> int:
         return len(self.dst)
 
-    def layer_live_edges(self) -> np.ndarray:
-        per_vertex = np.diff(self.indptr)
-        return per_vertex.reshape(self.tau, self.n).sum(axis=1)
-
 
 def sample_live_set(
     graph: CSRGraph, tau: int, rng: np.random.Generator
@@ -79,6 +75,7 @@ class ReachBatchResult:
     reached: np.ndarray  # int64[B] — r_G(seed set) per batch entry
     vertex_cost: int
     edge_cost: int
+    keys: np.ndarray  # int64 — sorted reached keys b·n + v
 
 
 def reach_batch(
@@ -87,14 +84,17 @@ def reach_batch(
     seed_b: np.ndarray,
     seed_v: np.ndarray,
     n_batches: int,
+    blocked: np.ndarray | None = None,
 ) -> ReachBatchResult:
     """Batched reachability: batch entry b computes r over layer
     ``layer_of_batch[b]`` from seeds ``seed_v[seed_b == b]`` (layer-local
-    vertex ids). Deterministic — no coins; the randomness lives in Build."""
+    vertex ids). Deterministic — no coins; the randomness lives in Build.
+    ``blocked`` (``bool[τ·n]`` over the live rows) counts as already
+    visited; see :func:`repro.ic.expand`."""
     n = live.n
     reached, edge_cost = expand(
         live.indptr, live.dst, None, seed_b.astype(np.int64) * n + seed_v,
-        n, layer=layer_of_batch.astype(np.int64),
+        n, layer=layer_of_batch.astype(np.int64), blocked=blocked,
     )
     counts = np.bincount(reached // n, minlength=n_batches).astype(np.int64)
-    return ReachBatchResult(counts, len(reached), edge_cost)
+    return ReachBatchResult(counts, len(reached), edge_cost, reached)

@@ -69,6 +69,10 @@ GOLDEN = {
     "snapshot BA_s IWC": (112033, 88142, -4808401250791282908),
     "snapshot BA_d UC_0.1": (3098746, 4285414, 6435273147431535373),
     "snapshot BA_d UC_0.01": (37525, 13546, 3559445910486651809),
+    # From the full-scan Snapshot Estimate (a BFS from S+v per candidate
+    # and layer), before the scan of R_i(S) was computed instead of walked.
+    "snapshot|S|=4 BA_s IWC": (1255799, 1167118, -4468811443393111317),
+    "snapshot|S|=4 BA_d UC_0.01": (161425, 71534, 3206717524258941010),
 }
 
 
@@ -91,6 +95,18 @@ def _snapshot(g):
     )
 
 
+def _snapshot_s4(g):
+    # Greedy's own seeds up to |S| = 4 (first max), so R_i(S) holds the
+    # hubs' reach and most (candidate, layer) pairs start inside it.
+    est = SnapshotEstimator(g, 6, np.random.default_rng(15),
+                            max_batch_cells=700_000)
+    seeds, vals = [], []
+    for _ in range(5):
+        vals.append(est.estimate_all(np.array(seeds, dtype=np.int64)))
+        seeds.append(int(vals[-1].argmax()))
+    return est.vertex_cost, est.edge_cost, _digest(*vals, seeds)
+
+
 def _rr(g):
     res = rr_sets(g, 3000, np.random.default_rng(13),
                   max_batch_cells=1_000_000)  # 1000 RR sets per chunk
@@ -106,8 +122,8 @@ def _oracle(g):
     )
 
 
-CASES = {"forward": _forward, "snapshot": _snapshot, "rr": _rr,
-         "oracle": _oracle}
+CASES = {"forward": _forward, "snapshot": _snapshot,
+         "snapshot|S|=4": _snapshot_s4, "rr": _rr, "oracle": _oracle}
 
 
 @pytest.mark.parametrize(

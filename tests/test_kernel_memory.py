@@ -5,7 +5,9 @@ about 100 MB for 2048 sets on a 50k-vertex graph — even when each set
 visits a handful of vertices. These checks bound the peak allocation of
 one kernel call on such a sparse instance, and, on a hub whose 200k edges
 share p = 0.01, the bytes per examined edge of a coin level: failed coins
-need no per-edge index arrays.
+need no per-edge index arrays. Snapshot's Estimate at |S| > 0 holds
+R_i(S) once, as a mask over the live rows, rather than in every
+candidate's traversal.
 """
 import tracemalloc
 
@@ -13,6 +15,8 @@ import numpy as np
 import pandas as pd
 import pytest
 
+from repro.algorithms.snapshot import SnapshotEstimator
+from repro.graphs import generators
 from repro.graphs.csr import from_pandas
 from repro.ic.forward import simulate_batch
 from repro.ic.live import reach_batch, sample_live_set
@@ -66,6 +70,26 @@ def test_reach_batch_peak_memory(sparse_graph):
 
     assert _peak_bytes(run) < LIMIT
     assert res.reached.min() >= 1 and len(res.reached) == BATCH
+
+
+SNAPSHOT_LIMIT = 16 << 20  # bytes; τ·n candidate scans of R_i(S) ≈ 200 MB
+
+
+def test_snapshot_estimate_peak_memory():
+    # BA_s (n = 1000, M = 1) IWC, τ = 64, S = the four best singletons.
+    edges = generators.barabasi_albert(1000, 1, seed=46)
+    p = 1.0 / edges.groupby("dst")["dst"].transform("size")
+    g = from_pandas(edges.assign(p=p), 1000)
+    est = SnapshotEstimator(g, 64, np.random.default_rng(36))
+    seeds = np.argsort(est.estimate_all(np.empty(0, np.int64)))[-4:]
+    vals = None
+
+    def run():
+        nonlocal vals
+        vals = est.estimate_all(seeds)
+
+    assert _peak_bytes(run) < SNAPSHOT_LIMIT
+    assert (vals[seeds] == 0).all() and vals.max() > 0
 
 
 STAR_EDGES = 200_000

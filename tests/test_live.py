@@ -2,6 +2,7 @@
 import numpy as np
 import pytest
 
+from repro.ic import expand
 from repro.ic.live import reach_batch, sample_live, sample_live_set
 from tests.helpers import graph_from_edges, path_graph, random_tiny_graph, ref_reachable
 
@@ -31,11 +32,15 @@ class TestSampleLive:
             assert kept <= full
 
 
+def _layer_live_edges(ls) -> np.ndarray:
+    return np.diff(ls.indptr).reshape(ls.tau, ls.n).sum(axis=1)
+
+
 class TestLiveGraphSet:
     def test_layers_independent(self):
         g = graph_from_edges([(0, 1, 0.5)], n=2)
         ls = sample_live_set(g, 400, np.random.default_rng(0))
-        per_layer = ls.layer_live_edges()
+        per_layer = _layer_live_edges(ls)
         assert per_layer.sum() == ls.total_live_edges
         assert 0.4 < per_layer.mean() < 0.6  # ~Bernoulli(0.5) per layer
 
@@ -43,7 +48,7 @@ class TestLiveGraphSet:
         g = path_graph(3, p=1.0)
         ls = sample_live_set(g, 3, np.random.default_rng(0))
         assert ls.total_live_edges == 6
-        assert list(ls.layer_live_edges()) == [2, 2, 2]
+        assert list(_layer_live_edges(ls)) == [2, 2, 2]
 
 
 class TestReachBatch:
@@ -102,3 +107,49 @@ class TestReachBatch:
             1,
         )
         assert res.reached[0] == 4
+
+
+class TestBlocked:
+    def test_blocked_row_counts_as_visited(self):
+        # 0 → 1 → 2 with row 1 blocked: BFS from 0 stops at 0, but the
+        # edge 0 → 1 is still examined.
+        ls = sample_live_set(path_graph(3, p=1.0), 1, np.random.default_rng(0))
+        blocked = np.array([False, True, False])
+        keys, edges = expand(ls.indptr, ls.dst, None, np.array([0]), 3,
+                             layer=np.zeros(1, np.int64), blocked=blocked)
+        assert list(keys) == [0] and edges == 1
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_matches_reference_bfs(self, seed):
+        # Random blocked rows on stacked layers, batch entries mapped to
+        # layers out of order: no blocked row is ever returned, blocked rows
+        # are never expanded, and every returned row's live edges count.
+        rng = np.random.default_rng(seed)
+        g = random_tiny_graph(rng, n=9, m=24)
+        tau, B = 4, 12
+        ls = sample_live_set(g, tau, rng)
+        blocked = rng.random(tau * g.n) < 0.3
+        layer = rng.integers(0, tau, B)
+        start = rng.integers(0, g.n, B)
+        keys, edges = expand(
+            ls.indptr, ls.dst, None, np.arange(B) * g.n + start, g.n,
+            layer=layer, blocked=blocked,
+        )
+        expect, expect_edges = set(), 0
+        for b in range(B):
+            base = layer[b] * g.n
+            seen, stack = {int(start[b])}, [int(start[b])]
+            while stack:
+                u = stack.pop()
+                nbrs = ls.dst[ls.indptr[base + u] : ls.indptr[base + u + 1]]
+                expect_edges += len(nbrs)
+                for w in nbrs:
+                    if int(w) not in seen and not blocked[base + w]:
+                        seen.add(int(w))
+                        stack.append(int(w))
+            expect |= {b * g.n + v for v in seen}
+        assert list(keys) == sorted(expect)
+        assert edges == expect_edges
+        b, v = np.divmod(keys, g.n)
+        unblocked = ~np.isin(keys, np.arange(B) * g.n + start)
+        assert not blocked[layer[b] * g.n + v][unblocked].any()

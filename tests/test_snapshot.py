@@ -1,4 +1,6 @@
 """Snapshot estimator (Algorithm 3.3): correctness and submodularity."""
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -6,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from repro.algorithms.snapshot import SnapshotEstimator
 from repro.ic.exact import exact_singleton_influences
 from repro.ic.live import reach_batch
-from tests.helpers import path_graph, random_tiny_graph
+from tests.helpers import graph_from_edges, path_graph, random_tiny_graph
 
 
 def _influence_estimate(est, seed_set):
@@ -134,6 +136,90 @@ def test_reach_from_matches_per_candidate_reference(seeds):
     assert np.array_equal(got, (ref - base).mean(axis=1))
     assert [est.vertex_cost, est.edge_cost] == ref_cost
     assert (got[S] == 0).all()  # v ∈ S adds nothing
-    assert np.array_equal(est._reach_from(S, np.arange(g.n)), ref)
+    marg, base_row = est._marginals(S)
+    assert np.array_equal(marg, ref - base[None, :])
     if len(S):
-        assert np.array_equal(est._reach_from(S)[0], base)
+        assert np.array_equal(base_row, base)
+
+
+def _full_scan(est, S):
+    """Alg 3.3 walked naively: one ``reach_batch`` for r_i(S) per layer
+    (when S is non-empty), then one from S + v per candidate v and layer i.
+    Returns the r_i(S + v) matrix, the r_i(S) row and the [vertex, edge]
+    cost of those scans."""
+    cost = [0, 0]
+
+    def reach(seeds, i):
+        res = reach_batch(
+            est.live, np.array([i]), np.zeros(len(seeds), np.int64),
+            np.asarray(seeds, dtype=np.int64), 1,
+        )
+        cost[0] += res.vertex_cost
+        cost[1] += res.edge_cost
+        return res.reached[0]
+
+    layers = range(est.tau)
+    base = np.array([reach(S, i) for i in layers] if len(S) else
+                    np.zeros(est.tau, np.int64))
+    ref = np.array([[reach(np.append(S, v), i) for i in layers]
+                    for v in range(est.graph.n)])
+    return ref, base, cost
+
+
+def _cyclic_graph(rng, n, extra):
+    """A directed cycle through every vertex plus ``extra`` random arcs."""
+    arcs = {(v, (v + 1) % n) for v in range(n)}
+    while len(arcs) < n + extra:
+        u, v = (int(x) for x in rng.integers(0, n, 2))
+        if u != v:
+            arcs.add((u, v))
+    return graph_from_edges(
+        [(u, v, float(rng.uniform(0.3, 1.0))) for u, v in sorted(arcs)], n=n
+    )
+
+
+def _without_layer(live, i):
+    """``live`` with every edge of layer i removed."""
+    n = live.n
+    lo, hi = live.indptr[i * n], live.indptr[(i + 1) * n]
+    indptr = live.indptr.copy()
+    indptr[i * n + 1 : (i + 1) * n + 1] = lo
+    indptr[(i + 1) * n + 1 :] -= hi - lo
+    return dataclasses.replace(
+        live, indptr=indptr, dst=np.delete(live.dst, np.s_[lo:hi])
+    )
+
+
+def _pruned_vs_full_scan(seed, n, size, tau, chunk):
+    rng = np.random.default_rng(seed)
+    g = _cyclic_graph(rng, n, extra=n // 2)
+    est = SnapshotEstimator(g, tau, rng, max_batch_cells=chunk * n)
+    est.live = _without_layer(est.live, int(rng.integers(tau)))
+    S = rng.choice(n, size, replace=False).astype(np.int64)
+    ref, base, cost = _full_scan(est, S)
+    got = est.estimate_all(S)
+    assert np.array_equal(got, (ref - base).mean(axis=1))
+    assert [est.vertex_cost, est.edge_cost] == cost
+    return S, ref, base
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 10_000), st.integers(5, 9), st.sampled_from([1, 2, 4]),
+       st.integers(1, 6), st.integers(1, 8))
+def test_pruned_estimate_matches_full_scan(seed, n, size, tau, chunk):
+    # Cyclic graphs, one layer without live edges, chunks of `chunk` pairs.
+    _pruned_vs_full_scan(seed, n, size, tau, chunk)
+
+
+@pytest.mark.parametrize("size", [1, 2, 4])
+def test_pruned_estimate_covers_every_case(size):
+    # A fixed instance that holds each case the pruning distinguishes:
+    # v ∈ S, v ∈ R_i(S) \ S, v ∉ R_i(S), an edgeless layer, and chunks of
+    # 5 pairs that split a candidate's 4 layers.
+    S, ref, base = _pruned_vs_full_scan(7, 8, size, 4, 5)
+    in_reach = ref == base[None, :]  # r_i(S + v) = r_i(S) ⇔ v ∈ R_i(S)
+    outside_s = np.ones(len(ref), dtype=bool)
+    outside_s[S] = False
+    assert in_reach[S].all()
+    assert in_reach[outside_s].any() and not in_reach.all()
+    assert (base == size).any()  # the edgeless layer: R_i(S) = S
