@@ -82,9 +82,9 @@ def make_tables(spark, names, profile: str, trials_dir: str):
                 spark, run_sweeps(spark, profile, trials_dir)
             ).cache()
         if name in ("table8", "table9") and t8 is None:
-            t8 = tables.table8(spark, profile)
+            t8 = tables.table8(profile)
         if name == "table3":
-            df = tables.table3(spark)
+            df = tables.table3()
         elif name == "table4":
             df = tables.table4(spark, theta=TABLE4_THETA[profile])
         elif name == "table5":

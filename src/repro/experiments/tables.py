@@ -13,27 +13,25 @@ from repro.experiments.instances import Sweep, traversal_instances
 from repro.experiments.rr_oracle import RROracle, build_oracle
 from repro.experiments.runner import run_trials, sweep_tasks
 from repro.experiments.traversal import table8_rows, table9_rows
-from repro.graphs import NETWORKS, assign_probabilities, build_network, to_csr
-from repro.graphs.csr import CSRGraph
+from repro.graphs import (
+    NETWORKS, CSRGraph, assign_probabilities, build_network_pandas,
+    from_pandas,
+)
 from repro.graphs.stats import table3_row
-
-
-def load_influence_graph(
-    spark: SparkSession, network: str, setting: str
-) -> CSRGraph:
-    """Network + probability setting → broadcastable CSR influence graph."""
-    edges = build_network(spark, network)
-    return to_csr(assign_probabilities(edges, setting))
-
 
 _ORACLE_CACHE: dict[tuple[str, str, int], RROracle] = {}
 _GRAPH_CACHE: dict[tuple[str, str], CSRGraph] = {}
 
 
 def cached_graph(spark, network: str, setting: str) -> CSRGraph:
+    """Network + probability setting → broadcastable CSR influence graph."""
+    # ``spark`` is unused: graphs are built on the driver. It stays only
+    # because the perfbench/ scripts pass it positionally.
     key = (network, setting)
     if key not in _GRAPH_CACHE:
-        _GRAPH_CACHE[key] = load_influence_graph(spark, network, setting)
+        _GRAPH_CACHE[key] = from_pandas(
+            assign_probabilities(build_network_pandas(network), setting)
+        )
     return _GRAPH_CACHE[key]
 
 
@@ -58,14 +56,12 @@ def run_sweep(spark: SparkSession, sweep: Sweep) -> DataFrame:
     return run_trials(spark, graph, oracle, tasks)
 
 
-def table3(spark: SparkSession, networks=None) -> pd.DataFrame:
-    """Network statistics for every registered network (or ``networks``)."""
+def table3() -> pd.DataFrame:
+    """Network statistics for every registered network."""
     rows = []
-    for name in networks or NETWORKS:
-        spec = NETWORKS[name]
-        edges = build_network(spark, name)
+    for name, spec in NETWORKS.items():
         row = table3_row(
-            edges, to_csr(edges),
+            from_pandas(build_network_pandas(name)),
             with_distance=name in ("Karate", "BA_s", "BA_d"),
         )
         rows.append(
@@ -117,11 +113,11 @@ def table6_and_7(trials: DataFrame) -> tuple[pd.DataFrame, pd.DataFrame]:
     return ratios.table6(stats), ratios.table7(stats)
 
 
-def table8(spark: SparkSession, profile: str = "quick") -> pd.DataFrame:
+def table8(profile: str = "quick") -> pd.DataFrame:
     """Per-sample traversal cost at k = 1, sample number 1."""
     rows = []
     for net, setting, trials, with_oneshot in traversal_instances(profile):
-        graph = cached_graph(spark, net, setting)
+        graph = cached_graph(None, net, setting)
         rows.extend(table8_rows(graph, net, setting, trials, with_oneshot))
     return pd.DataFrame(rows)
 

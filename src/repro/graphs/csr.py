@@ -1,11 +1,11 @@
-"""Edge-list DataFrame → immutable CSR/CSC arrays for executor-side kernels.
+"""pandas edge list → immutable CSR/CSC arrays for executor-side kernels.
 
 The sampling kernels (``repro.ic``) are NumPy frontier-expansion loops; they
-need O(1) neighbour lookup, which Spark rows cannot give. ``to_csr``
-collects an influence-graph DataFrame once on the driver and lays it out as
-CSR (out-adjacency, for forward simulation) and CSC (in-adjacency, for
-reverse/RR sampling). The result is a plain dataclass of NumPy arrays, cheap
-to broadcast to ``mapInPandas`` workers.
+need O(1) neighbour lookup. ``from_pandas`` lays a driver-side (src, dst, p)
+edge list out as CSR (out-adjacency, for forward simulation) and CSC
+(in-adjacency, for reverse/RR sampling); a stable sort keeps each row's
+neighbours in edge-list order. The result is a plain dataclass of NumPy
+arrays, cheap to broadcast to ``mapInPandas`` workers.
 
 Where every edge of a row shares one probability — UC in both directions,
 IWC in-edges (1/d⁻(v)), OWC out-edges (1/d⁺(u)) — the graph also carries
@@ -16,7 +16,6 @@ from dataclasses import dataclass
 
 import numpy as np
 import pandas as pd
-from pyspark.sql import DataFrame
 
 
 @dataclass(frozen=True)
@@ -86,8 +85,3 @@ def from_pandas(pdf: pd.DataFrame, n: int | None = None) -> CSRGraph:
         n, out_indptr, out_dst, out_p, in_indptr, in_src, in_p,
         _row_p(out_indptr, out_p), _row_p(in_indptr, in_p),
     )
-
-
-def to_csr(influence_df: DataFrame, n: int | None = None) -> CSRGraph:
-    """Collect a Spark (src, dst[, p]) DataFrame into a :class:`CSRGraph`."""
-    return from_pandas(influence_df.toPandas(), n)

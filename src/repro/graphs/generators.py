@@ -2,7 +2,7 @@
 
 All generators are deterministic in ``seed`` and return pandas edge lists
 (columns ``src``, ``dst``; vertices 0..n-1, no self-loops, no duplicate
-arcs). Spark wrappers live in :mod:`repro.graphs.networks`.
+arcs). :mod:`repro.graphs.networks` registers the paper's networks.
 
 * :func:`barabasi_albert` — the paper's BA_s/BA_d model: preferential
   attachment, each undirected edge given one random direction.

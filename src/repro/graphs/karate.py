@@ -6,7 +6,6 @@ below is the canonical Zachary (1977) data with vertices relabelled 0..33.
 """
 import numpy as np
 import pandas as pd
-from pyspark.sql import DataFrame, SparkSession
 
 # 78 undirected edges of the karate club graph, 0-indexed.
 _UNDIRECTED_EDGES = [
@@ -33,8 +32,3 @@ def karate_edges_pandas() -> pd.DataFrame:
     src = np.concatenate([und[:, 0], und[:, 1]])
     dst = np.concatenate([und[:, 1], und[:, 0]])
     return pd.DataFrame({"src": src, "dst": dst})
-
-
-def karate_edges(spark: SparkSession) -> DataFrame:
-    """Directed Karate edge list as a Spark DataFrame (src, dst)."""
-    return spark.createDataFrame(karate_edges_pandas())

@@ -1,7 +1,7 @@
 """Registry of the paper's networks (exact or substituted).
 
-``build_network(spark, name)`` returns a Spark edge-list DataFrame
-(``src``, ``dst``). Substitutions for offline-unavailable SNAP/KONECT data
+``build_network_pandas(name)`` returns a pandas edge list (``src``,
+``dst``). Substitutions for offline-unavailable SNAP/KONECT data
 are documented in DESIGN.md §4; scaled-down networks keep the structural
 features (degree skew, symmetry, density, core–whisker) the paper's
 findings depend on.
@@ -10,7 +10,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import pandas as pd
-from pyspark.sql import DataFrame, SparkSession
 
 from repro.graphs import generators, karate
 
@@ -103,12 +102,6 @@ NETWORKS: dict[str, NetworkSpec] = {
         "exact-model", 1000, 10_879,
     ),
 }
-
-
-def build_network(spark: SparkSession, name: str) -> DataFrame:
-    """Build a registered network as a Spark edge-list DataFrame."""
-    spec = NETWORKS[name]
-    return spark.createDataFrame(spec.builder())
 
 
 def build_network_pandas(name: str) -> pd.DataFrame:

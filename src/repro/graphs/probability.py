@@ -1,32 +1,21 @@
-"""Edge-probability assignment (paper §4.3) as Spark DataFrame transforms.
+"""Edge-probability assignment (paper §4.3) on pandas edge lists.
 
 Four settings: UC_0.1, UC_0.01 (uniform constant), IWC (p(u,v) = 1/d⁻(v),
 in-probabilities sum to 1 per vertex), OWC (p(u,v) = 1/d⁺(u), out-
-probabilities sum to 1 per vertex). Degrees are computed with DataFrame
-aggregations and attached via joins (Catalyst all the way).
+probabilities sum to 1 per vertex). Edge order is kept, so the CSR built
+from the result lists each row's neighbours in edge-list order.
 """
-from pyspark.sql import DataFrame
-from pyspark.sql import functions as F
+import pandas as pd
 
 SETTINGS = ("UC_0.1", "UC_0.01", "IWC", "OWC")
 
 
-def assign_probabilities(edges: DataFrame, setting: str) -> DataFrame:
+def assign_probabilities(edges: pd.DataFrame, setting: str) -> pd.DataFrame:
     """Return (src, dst, p) for the given edge-probability setting."""
-    if setting == "UC_0.1":
-        return edges.select("src", "dst", F.lit(0.1).alias("p"))
-    if setting == "UC_0.01":
-        return edges.select("src", "dst", F.lit(0.01).alias("p"))
-    if setting == "IWC":
-        indeg = edges.groupBy("dst").agg(F.count("*").alias("d_in"))
-        return (
-            edges.join(indeg, "dst")
-            .select("src", "dst", (F.lit(1.0) / F.col("d_in")).alias("p"))
-        )
-    if setting == "OWC":
-        outdeg = edges.groupBy("src").agg(F.count("*").alias("d_out"))
-        return (
-            edges.join(outdeg, "src")
-            .select("src", "dst", (F.lit(1.0) / F.col("d_out")).alias("p"))
-        )
+    out = edges[["src", "dst"]]
+    if setting in ("UC_0.1", "UC_0.01"):
+        return out.assign(p=float(setting.removeprefix("UC_")))
+    if setting in ("IWC", "OWC"):
+        by = "dst" if setting == "IWC" else "src"
+        return out.assign(p=1.0 / out.groupby(by)[by].transform("size"))
     raise ValueError(f"unknown setting {setting!r}; one of {SETTINGS}")

@@ -1,68 +1,55 @@
 """Network statistics for Table 3 (n, m, Δ⁺, Δ⁻, clustering, avg distance).
 
-Degrees and triangle counting run in the DataFrame API (self-joins, the
-canonical Catalyst triangle pattern); average distance uses an exact local
-BFS and is only computed for small graphs (the paper reports it only for
-Karate and the BA networks).
+Everything is computed from the CSR arrays. Degrees are ``np.diff`` of the
+indptrs; triangles are counted over the undirected simple graph with each
+edge oriented from lower to higher (degree, id) rank, so every vertex's
+out-list stays short and each triangle is found once. Average distance uses
+an exact local BFS and is only computed for small graphs (the paper reports
+it only for Karate and the BA networks).
 """
 import numpy as np
-from pyspark.sql import DataFrame
-from pyspark.sql import functions as F
 
 from repro.graphs.csr import CSRGraph
 
 
-def degree_stats(edges: DataFrame) -> dict:
-    """n, m, max out-degree, max in-degree from the directed edge list."""
-    m = edges.count()
-    verts = (
-        edges.select(F.col("src").alias("v"))
-        .union(edges.select(F.col("dst").alias("v")))
-        .distinct()
-    )
-    n = verts.count()
-    max_out = (
-        edges.groupBy("src").agg(F.count("*").alias("d"))
-        .agg(F.max("d").alias("mx")).collect()[0]["mx"]
-    )
-    max_in = (
-        edges.groupBy("dst").agg(F.count("*").alias("d"))
-        .agg(F.max("d").alias("mx")).collect()[0]["mx"]
-    )
-    return {"n": n, "m": m, "max_out": int(max_out), "max_in": int(max_in)}
+def degree_stats(graph: CSRGraph) -> dict:
+    """n (vertices with any arc), m, max out-degree, max in-degree."""
+    d_out, d_in = graph.out_degree(), graph.in_degree()
+    return {
+        "n": int(((d_out > 0) | (d_in > 0)).sum()),
+        "m": graph.m,
+        "max_out": int(d_out.max()),
+        "max_in": int(d_in.max()),
+    }
 
 
-def _undirected(edges: DataFrame) -> DataFrame:
-    """Canonical u<v undirected edge set underlying the directed list."""
-    return (
-        edges.select(
-            F.least("src", "dst").alias("u"), F.greatest("src", "dst").alias("v")
-        )
-        .where(F.col("u") != F.col("v"))
-        .distinct()
-    )
-
-
-def clustering_coefficient(edges: DataFrame) -> float:
+def clustering_coefficient(graph: CSRGraph) -> float:
     """Global clustering: 3 × triangles / connected triplets (undirected)."""
-    und = _undirected(edges).cache()
-    deg = (
-        und.select(F.col("u").alias("x"))
-        .union(und.select(F.col("v").alias("x")))
-        .groupBy("x").agg(F.count("*").alias("d"))
-    )
-    triplets = (
-        deg.agg(F.sum(F.col("d") * (F.col("d") - 1) / 2).alias("t"))
-        .collect()[0]["t"]
-    )
+    n = graph.n
+    src = np.repeat(np.arange(n), graph.out_degree())
+    u, v = np.minimum(src, graph.out_dst), np.maximum(src, graph.out_dst)
+    und = np.unique(u[u != v] * n + v[u != v])
+    u, v = und // n, und % n
+    deg = np.bincount(u, minlength=n) + np.bincount(v, minlength=n)
+    triplets = int((deg * (deg - 1) // 2).sum())
     if not triplets:
         return 0.0
-    e1 = und.select(F.col("u").alias("a"), F.col("v").alias("b"))
-    e2 = und.select(F.col("u").alias("b"), F.col("v").alias("c"))
-    e3 = und.select(F.col("u").alias("a"), F.col("v").alias("c"))
-    # a<b<c closed wedges; each triangle counted exactly once.
-    triangles = e1.join(e2, "b").join(e3, ["a", "c"]).count()
-    und.unpersist()
+    # Relabel by (degree, id) rank and orient each edge lo → hi.
+    rank = np.empty(n, dtype=np.int64)
+    rank[np.argsort(deg, kind="stable")] = np.arange(n)
+    lo, hi = np.minimum(rank[u], rank[v]), np.maximum(rank[u], rank[v])
+    keys = np.sort(lo * n + hi)
+    lo, hi = keys // n, keys % n
+    # Wedges: each pair of positions i < j in one out-list (sorted, so
+    # hi[i] < hi[j]); the edge hi[i] → hi[j] closes it into a triangle.
+    indptr = np.searchsorted(lo, np.arange(n + 1))
+    later = indptr[lo + 1] - np.arange(len(keys)) - 1
+    first = np.repeat(np.arange(len(keys)), later)
+    start = np.repeat(np.cumsum(later) - later, later)
+    second = first + 1 + np.arange(len(first)) - start
+    wedge = hi[first] * n + hi[second]
+    pos = np.minimum(np.searchsorted(keys, wedge), len(keys) - 1)
+    triangles = int((keys[pos] == wedge).sum())
     return float(3 * triangles / triplets)
 
 
@@ -110,9 +97,9 @@ def average_distance(graph: CSRGraph, max_n: int = 2000) -> float | None:
     return float(total / pairs) if pairs else 0.0
 
 
-def table3_row(edges: DataFrame, graph: CSRGraph, *, with_distance: bool) -> dict:
-    row = degree_stats(edges)
-    row["clustering"] = round(clustering_coefficient(edges), 4)
+def table3_row(graph: CSRGraph, *, with_distance: bool) -> dict:
+    row = degree_stats(graph)
+    row["clustering"] = round(clustering_coefficient(graph), 4)
     row["avg_distance"] = (
         round(average_distance(graph), 4) if with_distance else None
     )

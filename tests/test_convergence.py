@@ -10,15 +10,17 @@ import pytest
 
 from repro.algorithms import make_estimator, run_greedy
 from repro.experiments.rr_oracle import build_oracle_local
-from repro.graphs import assign_probabilities, build_network, to_csr
+from repro.graphs import assign_probabilities, build_network_pandas, from_pandas
 from repro.util import entropy_bits
 
 
 @pytest.fixture(scope="module")
-def iwc_graph(spark):
+def iwc_graph():
     # Karate IWC k=1: the paper reports eventual convergence to a unique
     # seed with a clear winner (Table 5 row Karate/IWC has H* = 0.06).
-    return to_csr(assign_probabilities(build_network(spark, "Karate"), "IWC"))
+    return from_pandas(
+        assign_probabilities(build_network_pandas("Karate"), "IWC")
+    )
 
 
 def _run_many(graph, alg, s, trials, k=1, seed0=0):

@@ -1,10 +1,10 @@
-"""CSR/CSC construction: exact agreement with the edge-list DataFrame."""
+"""CSR/CSC construction: exact agreement with the pandas edge list."""
 import numpy as np
 import pandas as pd
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.graphs.csr import from_pandas, to_csr
+from repro.graphs.csr import from_pandas
 from tests.helpers import graph_from_edges
 
 
@@ -76,11 +76,3 @@ def test_roundtrip_property(edges):
     assert g.m == len(pdf)
     assert g.out_degree().sum() == g.in_degree().sum() == g.m
     assert g.m_tilde == pytest.approx(pdf["p"].sum())
-
-
-def test_to_csr_spark(spark):
-    df = spark.createDataFrame(
-        pd.DataFrame({"src": [0, 1], "dst": [1, 2], "p": [0.5, 0.5]})
-    )
-    g = to_csr(df)
-    assert g.n == 3 and g.m == 2

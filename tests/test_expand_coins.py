@@ -11,21 +11,13 @@ import numpy as np
 import pandas as pd
 import pytest
 
-from repro.graphs.csr import from_pandas
+from repro.graphs import assign_probabilities, from_pandas
+from repro.graphs.probability import SETTINGS
 from repro.ic import expand
 from repro.ic.forward import simulate_batch
 from repro.ic.rr import rr_batch
 
 N = 400
-SETTINGS = ("UC_0.1", "UC_0.01", "IWC", "OWC")
-
-
-def _probabilities(edges: pd.DataFrame, setting: str):
-    if setting == "IWC":
-        return 1.0 / edges.groupby("dst")["dst"].transform("size")
-    if setting == "OWC":
-        return 1.0 / edges.groupby("src")["src"].transform("size")
-    return float(setting.removeprefix("UC_"))
 
 
 def _random_graph(setting: str, seed: int = 41):
@@ -35,7 +27,7 @@ def _random_graph(setting: str, seed: int = 41):
         "src": rng.integers(0, N, 3 * N // 2),
         "dst": rng.integers(0, N, 3 * N // 2),
     })
-    return from_pandas(edges.assign(p=_probabilities(edges, setting)), N)
+    return from_pandas(assign_probabilities(edges, setting), N)
 
 
 def _star(setting: str):
@@ -44,7 +36,7 @@ def _star(setting: str):
     leaves = np.arange(1, 51)
     edges = pd.DataFrame({"src": np.zeros(50, dtype=np.int64),
                           "dst": leaves})
-    return from_pandas(edges.assign(p=_probabilities(edges, setting)), 51)
+    return from_pandas(assign_probabilities(edges, setting), 51)
 
 
 def _directions(g):

@@ -8,6 +8,7 @@ import pytest
 from repro.experiments import tables
 
 JOBS_DIR = os.path.join(os.path.dirname(os.path.dirname(__file__)), "jobs")
+RESULTS_DIR = os.path.join(os.path.dirname(JOBS_DIR), "results")
 if JOBS_DIR not in sys.path:
     sys.path.insert(0, JOBS_DIR)
 
@@ -25,12 +26,13 @@ def trials(spark, tmp_path_factory):
     return cli.load_trials(spark, str(tmp / "trials")).cache()
 
 
-def test_table3_job(spark):
-    t3 = tables.table3(spark, networks=["Karate", "BA_s"])
-    assert list(t3["network"]) == ["Karate", "BA_s"]
+def test_table3_job():
+    t3 = tables.table3()
     karate = t3[t3["network"] == "Karate"].iloc[0]
     assert karate["n"] == 34 and karate["m"] == 156
     assert karate["max_out"] == 17
+    with open(os.path.join(RESULTS_DIR, "table3.md")) as f:
+        assert tables.to_markdown(t3) + "\n" == f.read()
 
 
 def test_table4_job(spark):
@@ -72,8 +74,8 @@ def test_table7_job(spark, trials):
     assert (t7["median_size_ratio"] < 10).all()
 
 
-def test_table8_job(spark):
-    t8 = tables.table8(spark, profile="test")
+def test_table8_job():
+    t8 = tables.table8(profile="test")
     assert set(t8["alg"]) == {"oneshot", "snapshot", "ris"}
     k = t8.set_index("alg")
     # Karate UC_0.1 shape: vertex cost Oneshot ≈ Snapshot ≫ RIS.
@@ -84,7 +86,7 @@ def test_table8_job(spark):
 
 
 def test_table9_job(spark, trials):
-    t8 = tables.table8(spark, profile="test")
+    t8 = tables.table8(profile="test")
     t9 = tables.table9(trials, t8)
     assert set(t9["alg"]) == {"oneshot", "snapshot", "ris"}
     assert (t9["cost_per_gamma"].dropna() > 0).all()

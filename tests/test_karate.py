@@ -43,9 +43,3 @@ def test_known_hubs(pdf):
     assert deg[0] == 16  # Mr. Hi
     assert deg[33] == 17  # the instructor
     assert deg[32] == 12
-
-
-def test_spark_roundtrip(spark, pdf):
-    df = karate.karate_edges(spark)
-    assert df.count() == 156
-    assert set(df.columns) == {"src", "dst"}

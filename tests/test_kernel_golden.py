@@ -13,7 +13,7 @@ import pytest
 
 from repro.algorithms.snapshot import SnapshotEstimator
 from repro.experiments.rr_oracle import build_oracle_local
-from repro.graphs import generators
+from repro.graphs import assign_probabilities, generators
 from repro.graphs.csr import CSRGraph, from_pandas
 from repro.ic.forward import simulate_single_seeds
 from repro.ic.rr import rr_sets
@@ -30,13 +30,7 @@ def _digest(*arrays) -> int:
 
 def _ba(m_per_vertex: int, seed: int, setting: str) -> CSRGraph:
     edges = generators.barabasi_albert(1000, m_per_vertex, seed=seed)
-    if setting == "IWC":
-        p = 1.0 / edges.groupby("dst")["dst"].transform("size")
-    elif setting == "OWC":
-        p = 1.0 / edges.groupby("src")["src"].transform("size")
-    else:
-        p = float(setting.removeprefix("UC_"))
-    return from_pandas(edges[["src", "dst"]].assign(p=p), 1000)
+    return from_pandas(assign_probabilities(edges, setting), 1000)
 
 
 @pytest.fixture(scope="module")

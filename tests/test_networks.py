@@ -1,4 +1,8 @@
 """Network registry: every entry builds and matches its documented shape."""
+import os
+import subprocess
+import sys
+
 import pytest
 
 from repro.graphs.networks import NETWORKS, build_network_pandas
@@ -59,8 +63,18 @@ def test_symmetric_substitutes(name):
     assert all((v, u) in arcs for u, v in arcs)
 
 
-def test_build_network_spark(spark):
-    df = __import__("repro.graphs.networks", fromlist=["build_network"]).build_network(
-        spark, "Karate"
+def test_graph_layer_imports_no_pyspark():
+    # Graphs are built on the driver in NumPy/pandas; Spark stays out of
+    # the graph layer entirely.
+    import repro
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+    code = (
+        "import sys, repro.graphs, repro.graphs.stats; "
+        "print('pyspark' in sys.modules)"
     )
-    assert df.count() == 156
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True,
+        check=True, env={**os.environ, "PYTHONPATH": src},
+    )
+    assert out.stdout.strip() == "False"

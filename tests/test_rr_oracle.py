@@ -3,7 +3,7 @@ import numpy as np
 import pytest
 
 from repro.experiments.rr_oracle import build_oracle, build_oracle_local
-from repro.graphs import assign_probabilities, build_network, to_csr
+from repro.graphs import assign_probabilities, build_network_pandas, from_pandas
 from repro.ic.rr import random_targets, rr_batch
 from repro.ic.exact import exact_influence, exact_singleton_influences
 from repro.util import trial_rng
@@ -11,9 +11,9 @@ from tests.helpers import path_graph, random_tiny_graph
 
 
 @pytest.fixture(scope="module")
-def karate_graph(spark):
-    return to_csr(
-        assign_probabilities(build_network(spark, "Karate"), "UC_0.1")
+def karate_graph():
+    return from_pandas(
+        assign_probabilities(build_network_pandas("Karate"), "UC_0.1")
     )
 
 

@@ -10,12 +10,14 @@ from repro.experiments.runner import (
     run_trials,
     sweep_tasks,
 )
-from repro.graphs import assign_probabilities, build_network, to_csr
+from repro.graphs import assign_probabilities, build_network_pandas, from_pandas
 
 
 @pytest.fixture(scope="module")
-def karate(spark):
-    g = to_csr(assign_probabilities(build_network(spark, "Karate"), "UC_0.1"))
+def karate():
+    g = from_pandas(
+        assign_probabilities(build_network_pandas("Karate"), "UC_0.1")
+    )
     oracle = build_oracle_local(g, 1 << 12)
     return g, oracle
 
