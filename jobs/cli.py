@@ -5,14 +5,17 @@
     python jobs/cli.py all    [--profile test|quick] [--out DIR]
 
 ``sweeps`` writes one parquet directory per sweep under ``--out`` (default
-``results/trials_<profile>``) and skips sweeps already written. ``tableN``
-prints its table as markdown and also writes it to ``--out`` when given;
-Tables 5–7 and 9 read (and first run, if missing) the default sweeps.
-``all`` writes ``trials_<profile>/`` and ``table3.md`` … ``table9.md``
-under ``--out`` (default ``results/``) from one Spark session, measuring
-Table 8 once for Tables 8 and 9.
+``results/trials_<profile>``) and skips sweeps already written in full
+(those with a ``_SUCCESS`` marker). ``tableN`` prints its table as markdown
+and also writes it to ``--out`` when given; Tables 5–7 and 9 read (and
+first run, if missing) the default sweeps. ``all`` writes
+``trials_<profile>/`` and ``table3.md`` … ``table9.md`` under ``--out``
+(default ``results/``) from one Spark session, measuring Table 8 once for
+Tables 8 and 9. The Spark session starts at its first use: Tables 3 and 8
+run on the driver alone and start no JVM.
 """
 import argparse
+import functools
 import os
 import sys
 import time
@@ -55,7 +58,8 @@ def run_sweeps(spark, profile: str, out_dir: str) -> str:
     all_sweeps = sweeps(profile)
     for i, sw in enumerate(all_sweeps):
         part = os.path.join(out_dir, f"{sw.network}__{sw.setting}__k{sw.k}")
-        if os.path.exists(part):
+        # A crashed write leaves the directory without _SUCCESS: redo it.
+        if os.path.exists(os.path.join(part, "_SUCCESS")):
             print(f"[{i+1}/{len(all_sweeps)}] skip (exists): {part}")
             continue
         t0 = time.time()
@@ -72,21 +76,22 @@ def load_trials(spark, out_dir: str):
 
 
 def make_tables(spark, names, profile: str, trials_dir: str):
-    """Yield ``(name, markdown)`` per table; sweeps and Table 8 run once."""
+    """Yield ``(name, markdown)`` per table; sweeps and Table 8 run once.
+    ``spark()`` returns the session; Tables 3 and 8 never call it."""
     from repro.experiments import tables
 
     trials = t8 = None
     for name in names:
         if name in ("table5", "table6", "table7", "table9") and trials is None:
             trials = load_trials(
-                spark, run_sweeps(spark, profile, trials_dir)
+                spark(), run_sweeps(spark(), profile, trials_dir)
             ).cache()
         if name in ("table8", "table9") and t8 is None:
             t8 = tables.table8(profile)
         if name == "table3":
             df = tables.table3()
         elif name == "table4":
-            df = tables.table4(spark, theta=TABLE4_THETA[profile])
+            df = tables.table4(spark(), theta=TABLE4_THETA[profile])
         elif name == "table5":
             df = tables.table5(trials)
         elif name in ("table6", "table7"):
@@ -119,10 +124,13 @@ def main(argv=None) -> None:
     # which need not be this process's: hand it absolute paths only.
     out = os.path.abspath(args.out) if args.out else None
     default_trials = os.path.join(RESULTS_DIR, f"trials_{args.profile}")
-    spark = get_spark(f"repro-{args.command}")
+    # The session starts at the first call; table3 and table8 never make it.
+    spark = functools.cache(
+        functools.partial(get_spark, f"repro-{args.command}")
+    )
 
     if args.command == "sweeps":
-        path = run_sweeps(spark, args.profile, out or default_trials)
+        path = run_sweeps(spark(), args.profile, out or default_trials)
         print(f"trials written under {path}")
     elif args.command == "all":
         out_dir = out or RESULTS_DIR

@@ -30,7 +30,7 @@ class RISEstimator:
         self.alive = np.ones(theta, dtype=bool)
         self.vertex_cost = res.vertex_cost
         self.edge_cost = res.edge_cost
-        self.sample_size = int(res.sizes.sum())
+        self.sample_size = res.vertex_cost  # Σ|R|
 
     def estimate_all(self, current_seeds: np.ndarray) -> np.ndarray:  # noqa: ARG002
         live = self.alive[self.rr_id]

@@ -18,7 +18,7 @@ import numpy as np
 import pandas as pd
 from pyspark.sql import SparkSession
 
-from repro.graphs.csr import CSRGraph
+from repro.graphs.csr import CSRGraph, group_rows
 from repro.ic.rr import rr_batch, random_targets
 from repro.util import trial_rng
 
@@ -55,22 +55,32 @@ class RROracle:
 
 
 def _from_membership(n: int, theta: int, rr_id, vertex) -> RROracle:
-    order = np.argsort(vertex, kind="stable")
-    v_sorted = np.asarray(vertex)[order]
-    ids_sorted = np.asarray(rr_id)[order]
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(v_sorted, minlength=n), out=indptr[1:])
-    return RROracle(n, theta, indptr, ids_sorted.astype(np.int64))
+    order, indptr = group_rows(vertex, n)
+    ids = np.asarray(rr_id)[order].astype(np.int64)
+    return RROracle(n, theta, indptr, ids)
+
+
+def _batch(
+    graph: CSRGraph, theta: int, base_seed: int, batch_size: int, b: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Batch b of an oracle of θ RR sets: the sets ``b·batch_size …`` (only
+    the last batch is short, so the ids are dense), drawn from
+    ``trial_rng(base_seed, b)``. Returns (rr_id, vertex), sorted by
+    (rr id, vertex)."""
+    first = b * batch_size
+    rng = trial_rng(base_seed, b)
+    targets = random_targets(graph.n, min(batch_size, theta - first), rng)
+    res = rr_batch(graph, targets, rng)
+    return res.rr_id + first, res.vertex
 
 
 def build_oracle_local(
     graph: CSRGraph, theta: int, base_seed: int = 7
 ) -> RROracle:
-    """Single-process build: one ``rr_batch`` call over all θ targets
-    (its memory follows the Σ|R| entries, not θ·n)."""
-    rng = trial_rng(base_seed, 0)
-    res = rr_batch(graph, random_targets(graph.n, theta, rng), rng)
-    return _from_membership(graph.n, theta, res.rr_id, res.vertex)
+    """Single-process build: batch 0 of ``build_oracle`` with one batch of
+    θ sets (its memory follows the Σ|R| entries, not θ·n)."""
+    rr_id, vertex = _batch(graph, theta, base_seed, theta, 0)
+    return _from_membership(graph.n, theta, rr_id, vertex)
 
 
 def build_oracle(
@@ -80,11 +90,8 @@ def build_oracle(
     base_seed: int = 7,
     batch_size: int = 8192,
 ) -> RROracle:
-    """Distributed build: RR batches fan out over executors in one stage.
-
-    Batch b holds the RR sets ``b·batch_size …`` (only the last batch is
-    short, so the ids are dense) drawn from ``trial_rng(base_seed, b)``.
-    """
+    """Distributed build: the batches of :func:`_batch` fan out over
+    executors in one stage."""
     assert max(theta, graph.n) < 2**31, "membership travels as int32"
     n_batches = (theta + batch_size - 1) // batch_size
     n_parts = max(1, min(n_batches, spark.sparkContext.defaultParallelism))
@@ -93,18 +100,16 @@ def build_oracle(
     def gen(batches):
         g = bc.value
         for pdf in batches:
-            for batch in pdf["id"]:
-                first = int(batch) * batch_size
-                count = min(batch_size, theta - first)
-                rng = trial_rng(base_seed, int(batch))
-                res = rr_batch(g, random_targets(g.n, count, rng), rng)
-                # Members come sorted by (rr id, vertex); a stable sort by
-                # vertex keeps the rr ids ascending within each vertex.
-                order = np.argsort(res.vertex, kind="stable")
+            for b in pdf["id"]:
+                rr_id, vertex = _batch(g, theta, base_seed, batch_size, int(b))
+                # Ship each batch sorted by vertex (stable, so the rr ids
+                # stay ascending within each vertex): the driver's stable
+                # sort then only merges sorted runs.
+                order = np.argsort(vertex, kind="stable")
                 yield pd.DataFrame(
                     {
-                        "rr_id": (res.rr_id[order] + first).astype(np.int32),
-                        "vertex": res.vertex[order].astype(np.int32),
+                        "rr_id": rr_id[order].astype(np.int32),
+                        "vertex": vertex[order].astype(np.int32),
                     }
                 )
 

@@ -18,36 +18,27 @@ cost per γ is its Table 8 (vertex+edge) cost × its ratio (Snapshot's is 1).
 import numpy as np
 import pandas as pd
 
-from repro.algorithms.snapshot import SnapshotEstimator
+from repro.algorithms import ALGORITHMS, make_estimator
 from repro.graphs.csr import CSRGraph
-from repro.ic.forward import simulate_single_seeds
-from repro.ic.rr import rr_sets
 from repro.util import trial_rng
 
 
-def oneshot_cost(
-    graph: CSRGraph, trials: int, base_seed: int = 11
+def sample_cost(
+    graph: CSRGraph, alg: str, trials: int, base_seed: int = 11
 ) -> tuple[float, float]:
-    """Mean (vertex, edge) cost of a full candidate scan at β = 1."""
+    """Mean (vertex, edge) cost per sample of ``alg``'s own estimator.
+
+    Oneshot and Snapshot: a fresh estimator at sample number 1 per trial,
+    charged for Estimate(∅) over every candidate. RIS: one estimator
+    holding ``trials`` RR sets, charged for its Build.
+    """
+    a = ALGORITHMS.index(alg)
+    if alg == "ris":
+        est = make_estimator(alg, graph, trials, trial_rng(base_seed, a))
+        return est.vertex_cost / trials, est.edge_cost / trials
     v = e = 0
     for t in range(trials):
-        rng = trial_rng(base_seed, 0, t)
-        res = simulate_single_seeds(
-            graph, np.arange(graph.n, dtype=np.int64), 1, rng
-        )
-        v += res.vertex_cost
-        e += res.edge_cost
-    return v / trials, e / trials
-
-
-def snapshot_cost(
-    graph: CSRGraph, trials: int, base_seed: int = 11
-) -> tuple[float, float]:
-    """Mean (vertex, edge) Estimate cost of a full candidate scan at τ = 1."""
-    v = e = 0
-    for t in range(trials):
-        rng = trial_rng(base_seed, 1, t)
-        est = SnapshotEstimator(graph, 1, rng)
+        est = make_estimator(alg, graph, 1, trial_rng(base_seed, a, t))
         est.estimate_all(np.empty(0, dtype=np.int64))
         v += est.vertex_cost
         e += est.edge_cost
@@ -58,9 +49,7 @@ def ris_cost(
     graph: CSRGraph, trials: int, base_seed: int = 11
 ) -> tuple[float, float]:
     """Mean (vertex, edge) cost of generating one RR set."""
-    rng = trial_rng(base_seed, 2)
-    res = rr_sets(graph, trials, rng)
-    return res.vertex_cost / trials, res.edge_cost / trials
+    return sample_cost(graph, "ris", trials, base_seed)
 
 
 def table8_rows(
@@ -73,19 +62,15 @@ def table8_rows(
 ) -> list[dict]:
     """Table 8 rows for one influence graph (paper omits Oneshot on ★)."""
     rows = []
-    algs = [
-        ("snapshot", snapshot_cost),
-        ("ris", ris_cost),
-    ]
-    if include_oneshot:
-        algs.insert(0, ("oneshot", oneshot_cost))
-    for name, fn in algs:
-        v, e = fn(graph, trials, base_seed)
+    for alg in ALGORITHMS:
+        if alg == "oneshot" and not include_oneshot:
+            continue
+        v, e = sample_cost(graph, alg, trials, base_seed)
         rows.append(
             {
                 "network": network,
                 "setting": setting,
-                "alg": name,
+                "alg": alg,
                 "vertex_cost": round(v, 1),
                 "edge_cost": round(e, 1),
             }
@@ -97,30 +82,14 @@ def table9_rows(
     table8: pd.DataFrame, table6: pd.DataFrame, table7: pd.DataFrame
 ) -> pd.DataFrame:
     """Conditioned traversal cost per γ from Tables 6/7/8 (k = 1 ratios)."""
-    t6 = table6[table6["k"] == 1][
-        ["network", "setting", "median_number_ratio"]
-    ].rename(columns={"median_number_ratio": "cr"})
-    t7 = table7[table7["k"] == 1][
-        ["network", "setting", "median_number_ratio"]
-    ].rename(columns={"median_number_ratio": "cr"})
-    rows = []
-    for _, r in table8.iterrows():
-        total = r["vertex_cost"] + r["edge_cost"]
-        if r["alg"] == "snapshot":
-            cr = 1.0
-        else:
-            src = t6 if r["alg"] == "oneshot" else t7
-            sel = src[
-                (src["network"] == r["network"])
-                & (src["setting"] == r["setting"])
-            ]
-            cr = float(sel["cr"].iloc[0]) if len(sel) else np.nan
-        rows.append(
-            {
-                "network": r["network"],
-                "setting": r["setting"],
-                "alg": r["alg"],
-                "cost_per_gamma": total * cr,
-            }
-        )
-    return pd.DataFrame(rows)
+    cols = ["network", "setting", "median_number_ratio"]
+    ratio = pd.concat(
+        [t.loc[t["k"] == 1, cols].assign(alg=alg)
+         for alg, t in (("oneshot", table6), ("ris", table7))]
+    )
+    out = table8.merge(ratio, on=["network", "setting", "alg"], how="left")
+    cr = out["median_number_ratio"].astype(float)
+    cr = cr.where(out["alg"] != "snapshot", 1.0)
+    return out[["network", "setting", "alg"]].assign(
+        cost_per_gamma=(out["vertex_cost"] + out["edge_cost"]) * cr
+    )

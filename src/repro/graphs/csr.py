@@ -50,13 +50,33 @@ class CSRGraph:
         return np.diff(self.in_indptr)
 
 
-def _pack(by: np.ndarray, other: np.ndarray, p: np.ndarray, n: int):
-    order = np.argsort(by, kind="stable")
-    by, other, p = by[order], other[order], p[order]
+def group_rows(row: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Lay keyed entries out as CSR rows: ``order`` sorts the entries by
+    ``row`` (0 ≤ row < n), stably, and row r holds the entries
+    ``order[indptr[r] : indptr[r + 1]]``."""
+    order = np.argsort(row, kind="stable")
     indptr = np.zeros(n + 1, dtype=np.int64)
-    np.add.at(indptr, by + 1, 1)
-    np.cumsum(indptr, out=indptr)
-    return indptr, other.astype(np.int64), p.astype(np.float64)
+    np.cumsum(np.bincount(row, minlength=n), out=indptr[1:])
+    return order, indptr
+
+
+def gather_edges(indptr: np.ndarray, frontier: np.ndarray):
+    """Flatten the adjacency ranges of ``frontier`` vertices.
+
+    Returns ``(eidx, owner)`` where ``eidx`` are edge indices into the CSR
+    arrays and ``owner[i]`` is the position in ``frontier`` owning edge i.
+    """
+    start = indptr[frontier]
+    cnt = indptr[frontier + 1] - start
+    owner = np.repeat(np.arange(len(frontier)), cnt)
+    # Edge i of owner o is start[o] + (i − index of o's first edge).
+    shift = start - (np.cumsum(cnt) - cnt)
+    return np.arange(len(owner)) + shift[owner], owner
+
+
+def _pack(by: np.ndarray, other: np.ndarray, p: np.ndarray, n: int):
+    order, indptr = group_rows(by, n)
+    return indptr, other[order].astype(np.int64), p[order].astype(np.float64)
 
 
 def _row_p(indptr: np.ndarray, p: np.ndarray) -> np.ndarray | None:

@@ -9,7 +9,7 @@ it only for Karate and the BA networks).
 """
 import numpy as np
 
-from repro.graphs.csr import CSRGraph
+from repro.graphs.csr import CSRGraph, gather_edges, group_rows
 
 
 def degree_stats(graph: CSRGraph) -> dict:
@@ -61,17 +61,9 @@ def average_distance(graph: CSRGraph, max_n: int = 2000) -> float | None:
     if n > max_n:
         return None
     # Symmetrize adjacency into per-vertex neighbour lists.
-    src = np.concatenate(
-        [np.repeat(np.arange(n), graph.out_degree()), graph.out_dst]
-    )
-    dst = np.concatenate(
-        [graph.out_dst, np.repeat(np.arange(n), graph.out_degree())]
-    )
-    order = np.argsort(src, kind="stable")
-    src, dst = src[order], dst[order]
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    np.add.at(indptr, src + 1, 1)
-    np.cumsum(indptr, out=indptr)
+    src = np.repeat(np.arange(n), graph.out_degree())
+    order, indptr = group_rows(np.concatenate([src, graph.out_dst]), n)
+    dst = np.concatenate([graph.out_dst, src])[order]
     total, pairs = 0, 0
     for s in range(n):
         dist = np.full(n, -1, dtype=np.int64)
@@ -80,13 +72,9 @@ def average_distance(graph: CSRGraph, max_n: int = 2000) -> float | None:
         d = 0
         while len(frontier):
             d += 1
-            cnt = indptr[frontier + 1] - indptr[frontier]
-            tot = int(cnt.sum())
-            if tot == 0:
+            idx, _ = gather_edges(indptr, frontier)
+            if not len(idx):
                 break
-            idx = np.repeat(indptr[frontier], cnt) + (
-                np.arange(tot) - np.repeat(np.cumsum(cnt) - cnt, cnt)
-            )
             nxt = np.unique(dst[idx])
             nxt = nxt[dist[nxt] < 0]
             dist[nxt] = d

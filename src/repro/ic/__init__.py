@@ -22,21 +22,9 @@ visited vertex is scanned once (vertex cost); edges examined = edge cost.
 """
 import numpy as np
 
+from repro.graphs.csr import gather_edges
+
 _END = np.iinfo(np.int64).max  # sentinel closing the visited array
-
-
-def gather_edges(indptr: np.ndarray, frontier: np.ndarray):
-    """Flatten the adjacency ranges of ``frontier`` vertices.
-
-    Returns ``(eidx, owner)`` where ``eidx`` are edge indices into the CSR
-    arrays and ``owner[i]`` is the position in ``frontier`` owning edge i.
-    """
-    start = indptr[frontier]
-    cnt = indptr[frontier + 1] - start
-    owner = np.repeat(np.arange(len(frontier)), cnt)
-    # Edge i of owner o is start[o] + (i − index of o's first edge).
-    shift = start - (np.cumsum(cnt) - cnt)
-    return np.arange(len(owner)) + shift[owner], owner
 
 
 def expand(

@@ -21,10 +21,8 @@ from repro.ic import expand
 class RRBatchResult:
     rr_id: np.ndarray  # int64[K] — RR-set index per membership entry
     vertex: np.ndarray  # int64[K] — member vertex
-    sizes: np.ndarray  # int64[θ] — |R| per RR set
-    weights: np.ndarray  # int64[θ] — w(R) = Σ_{v∈R} d⁻(v)
-    vertex_cost: int  # Σ sizes
-    edge_cost: int  # Σ weights
+    vertex_cost: int  # Σ |R| = K
+    edge_cost: int  # Σ w(R), w(R) = Σ_{v∈R} d⁻(v)
 
 
 def rr_batch(
@@ -32,19 +30,13 @@ def rr_batch(
 ) -> RRBatchResult:
     """Generate one RR set per entry of ``targets`` (vertex ids)."""
     n = graph.n
-    theta = len(targets)
     members, edge_cost = expand(
         graph.in_indptr, graph.in_src, graph.in_p,
-        np.arange(theta, dtype=np.int64) * n + targets, n, rng,
+        np.arange(len(targets), dtype=np.int64) * n + targets, n, rng,
         p_row=graph.in_p_row,
     )
     rr_id, vertex = np.divmod(members, n)
-    sizes = np.bincount(rr_id, minlength=theta).astype(np.int64)
-    in_deg = graph.in_indptr[vertex + 1] - graph.in_indptr[vertex]
-    weights = np.bincount(rr_id, in_deg, minlength=theta).astype(np.int64)
-    return RRBatchResult(
-        rr_id, vertex, sizes, weights, len(members), edge_cost
-    )
+    return RRBatchResult(rr_id, vertex, len(members), edge_cost)
 
 
 def random_targets(
@@ -73,12 +65,10 @@ def rr_sets(
         done += b
     if len(parts) == 1:
         return parts[0]
-    offs = np.cumsum([0] + [len(p.sizes) for p in parts[:-1]])
+    offs = range(0, theta, per_chunk)
     return RRBatchResult(
         np.concatenate([p.rr_id + o for p, o in zip(parts, offs)]),
         np.concatenate([p.vertex for p in parts]),
-        np.concatenate([p.sizes for p in parts]),
-        np.concatenate([p.weights for p in parts]),
         sum(p.vertex_cost for p in parts),
         sum(p.edge_cost for p in parts),
     )

@@ -1,4 +1,4 @@
-"""Small shared helpers: deterministic seeding and entropy."""
+"""Deterministic per-trial seeding."""
 import numpy as np
 
 
@@ -13,12 +13,3 @@ def trial_rng(base_seed: int, *fields) -> np.random.Generator:
     ints = [base_seed] + [int(f) for f in fields]
     return np.random.default_rng(np.random.SeedSequence(ints))
 
-
-def entropy_bits(counts) -> float:
-    """Shannon entropy H = −Σ p log₂ p of an empirical distribution."""
-    c = np.asarray(counts, dtype=np.float64)
-    c = c[c > 0]
-    if len(c) == 0:
-        return 0.0
-    p = c / c.sum()
-    return float(-(p * np.log2(p)).sum())

@@ -43,6 +43,26 @@ def random_tiny_graph(rng, n=6, m=9) -> CSRGraph:
     )
 
 
+def rr_sizes_weights(graph: CSRGraph, res, theta: int):
+    """|R| and w(R) = Σ_{v∈R} d⁻(v) per RR set of an ``RRBatchResult``."""
+    sizes = np.bincount(res.rr_id, minlength=theta).astype(np.int64)
+    weights = np.bincount(
+        res.rr_id, graph.in_degree()[res.vertex], minlength=theta
+    ).astype(np.int64)
+    return sizes, weights
+
+
+def entropy_bits(counts) -> float:
+    """Shannon entropy H = −Σ p log₂ p of an empirical distribution (the
+    naive reference the pandas aggregation is checked against)."""
+    c = np.asarray(counts, dtype=np.float64)
+    c = c[c > 0]
+    if len(c) == 0:
+        return 0.0
+    p = c / c.sum()
+    return float(-(p * np.log2(p)).sum())
+
+
 def ref_reachable(graph: CSRGraph, live_eidx: np.ndarray, seeds) -> set[int]:
     """Reference reachability over an explicit set of live edge indices."""
     src = np.repeat(np.arange(graph.n), graph.out_degree())

@@ -11,7 +11,7 @@ import pytest
 from repro.algorithms import make_estimator, run_greedy
 from repro.experiments.rr_oracle import build_oracle_local
 from repro.graphs import assign_probabilities, build_network_pandas, from_pandas
-from repro.util import entropy_bits
+from tests.helpers import entropy_bits
 
 
 @pytest.fixture(scope="module")

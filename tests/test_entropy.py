@@ -1,4 +1,5 @@
-"""Entropy analytics: util function and the pandas aggregation vs DuckDB."""
+"""Entropy analytics: the reference function and the pandas aggregation
+vs DuckDB."""
 import math
 
 import numpy as np
@@ -8,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.experiments.entropy import seed_set_entropy
 from tests.duckdb_oracle import assert_equivalent
-from repro.util import entropy_bits
+from tests.helpers import entropy_bits
 
 
 class TestEntropyBits:

@@ -1,5 +1,7 @@
 """Smoke tests: every table runs end-to-end at the test profile."""
 import os
+import shutil
+import subprocess
 import sys
 
 import pandas as pd
@@ -14,7 +16,7 @@ if JOBS_DIR not in sys.path:
 
 
 @pytest.fixture(scope="module")
-def trials(spark, tmp_path_factory):
+def trials_dir(spark, tmp_path_factory):
     import cli
 
     # A relative --out from another working directory: the CLI must hand
@@ -23,7 +25,61 @@ def trials(spark, tmp_path_factory):
     with pytest.MonkeyPatch.context() as mp:
         mp.chdir(tmp)
         cli.main(["sweeps", "--profile", "test", "--out", "trials"])
-    return cli.load_trials(spark, str(tmp / "trials")).cache()
+    return tmp / "trials"
+
+
+@pytest.fixture(scope="module")
+def trials(spark, trials_dir):
+    import cli
+
+    return cli.load_trials(spark, str(trials_dir)).cache()
+
+
+def test_table3_and_table8_start_no_spark(tmp_path):
+    # Both tables run on the driver alone: the CLI must not start a JVM.
+    code = f"""
+import sys
+sys.path.insert(0, {JOBS_DIR!r})
+import cli
+from pyspark import SparkContext
+cli.main(["table8", "--profile", "test"])
+cli.main(["table3", "--out", {str(tmp_path / "table3.md")!r}])
+assert SparkContext._active_spark_context is None
+"""
+    src = os.path.join(os.path.dirname(JOBS_DIR), "src")
+    subprocess.run(
+        [sys.executable, "-c", code], check=True, capture_output=True,
+        text=True, env={**os.environ, "PYTHONPATH": src},
+    )
+    with open(os.path.join(RESULTS_DIR, "table3.md")) as f:
+        assert (tmp_path / "table3.md").read_text() == f.read()
+
+
+def test_sweeps_redo_a_crashed_sweep(spark, trials_dir, tmp_path, capsys):
+    import cli
+
+    # A sweep whose write crashed: Spark leaves the directory with
+    # _temporary/ and no _SUCCESS. Only that sweep is written again.
+    out = tmp_path / "trials"
+    shutil.copytree(trials_dir, out)
+    parts = sorted(p.name for p in out.iterdir())
+    crashed = out / parts[0]
+    shutil.rmtree(crashed)
+    (crashed / "_temporary").mkdir(parents=True)
+    capsys.readouterr()
+    cli.main(["sweeps", "--profile", "test", "--out", str(out)])
+    log = capsys.readouterr().out
+    assert (crashed / "_SUCCESS").exists()
+    assert f"skip (exists): {crashed}" not in log
+    for name in parts[1:]:
+        assert f"skip (exists): {out / name}" in log
+    redone = spark.read.parquet(str(crashed)).toPandas()
+    before = spark.read.parquet(str(trials_dir / parts[0])).toPandas()
+    key = ["alg", "sample_number", "trial"]
+    pd.testing.assert_frame_equal(
+        redone.sort_values(key).reset_index(drop=True),
+        before.sort_values(key).reset_index(drop=True),
+    )
 
 
 def test_table3_job():

@@ -17,6 +17,7 @@ from repro.graphs import assign_probabilities, generators
 from repro.graphs.csr import CSRGraph, from_pandas
 from repro.ic.forward import simulate_single_seeds
 from repro.ic.rr import rr_sets
+from tests.helpers import rr_sizes_weights
 
 
 def _digest(*arrays) -> int:
@@ -105,7 +106,7 @@ def _rr(g):
     res = rr_sets(g, 3000, np.random.default_rng(13),
                   max_batch_cells=1_000_000)  # 1000 RR sets per chunk
     return res.vertex_cost, res.edge_cost, _digest(
-        res.rr_id, res.vertex, res.sizes, res.weights
+        res.rr_id, res.vertex, *rr_sizes_weights(g, res, 3000)
     )
 
 

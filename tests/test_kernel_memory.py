@@ -54,7 +54,8 @@ def test_rr_batch_peak_memory(sparse_graph):
         res = rr_batch(sparse_graph, targets, rng)
 
     assert _peak_bytes(run) < LIMIT
-    assert res.sizes.min() >= 1 and len(res.sizes) == BATCH
+    sizes = np.bincount(res.rr_id, minlength=BATCH)
+    assert sizes.min() >= 1 and len(sizes) == BATCH
 
 
 def test_reach_batch_peak_memory(sparse_graph):

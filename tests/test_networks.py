@@ -1,4 +1,5 @@
 """Network registry: every entry builds and matches its documented shape."""
+import json
 import os
 import subprocess
 import sys
@@ -65,16 +66,24 @@ def test_symmetric_substitutes(name):
 
 def test_graph_layer_imports_no_pyspark():
     # Graphs are built on the driver in NumPy/pandas; Spark stays out of
-    # the graph layer entirely.
+    # the graph layer entirely, and the graph layer imports no other repro
+    # package. The kernels, the estimators and the Table 8/9 code need no
+    # Spark either.
     import repro
 
     src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
     code = (
-        "import sys, repro.graphs, repro.graphs.stats; "
-        "print('pyspark' in sys.modules)"
+        "import sys, json, repro.graphs, repro.graphs.stats\n"
+        "graphs = sorted(m for m in sys.modules if m.startswith('repro'))\n"
+        "import repro.ic, repro.algorithms, repro.experiments.traversal\n"
+        "print(json.dumps([graphs, 'pyspark' in sys.modules]))"
     )
     out = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True,
         check=True, env={**os.environ, "PYTHONPATH": src},
     )
-    assert out.stdout.strip() == "False"
+    graphs, spark = json.loads(out.stdout)
+    assert [m for m in graphs if m not in ("repro", "repro.graphs")
+            and not m.startswith("repro.graphs.")] == []
+    assert "repro.graphs.stats" in graphs
+    assert spark is False

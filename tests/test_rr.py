@@ -4,17 +4,21 @@ import pytest
 
 from repro.ic.exact import exact_influence
 from repro.ic.rr import random_targets, rr_batch, rr_sets
-from tests.helpers import graph_from_edges, path_graph, random_tiny_graph, ref_rr_set
+from tests.helpers import (
+    graph_from_edges, path_graph, random_tiny_graph, ref_rr_set,
+    rr_sizes_weights,
+)
 
 
 class TestDeterministic:
     def test_p1_path_ancestors(self):
         g = path_graph(4, p=1.0)
         res = rr_batch(g, np.array([3]), np.random.default_rng(0))
+        sizes, weights = rr_sizes_weights(g, res, 1)
         assert sorted(res.vertex.tolist()) == [0, 1, 2, 3]
-        assert res.sizes[0] == 4
+        assert sizes[0] == 4
         # w(R) = Σ d⁻ over members = 1+1+1+0 (vertex 0 has no in-edge).
-        assert res.weights[0] == 3
+        assert weights[0] == 3
 
     def test_target_always_member(self):
         rng = np.random.default_rng(1)
@@ -26,8 +30,9 @@ class TestDeterministic:
     def test_tiny_p_singleton(self):
         g = path_graph(3, p=1e-12)
         res = rr_batch(g, np.array([2]), np.random.default_rng(0))
-        assert res.sizes[0] == 1
-        assert res.weights[0] == 1  # d⁻(2) = 1 examined
+        sizes, weights = rr_sizes_weights(g, res, 1)
+        assert sizes[0] == 1
+        assert weights[0] == 1  # d⁻(2) = 1 examined
 
 
 class TestUnbiasedness:
@@ -61,21 +66,23 @@ class TestUnbiasedness:
         g = random_tiny_graph(rng, n=5, m=7)
         ept = sum(exact_influence(g, [v]) for v in range(g.n)) / g.n
         res = rr_sets(g, 20_000, rng)
-        assert res.sizes.mean() == pytest.approx(ept, abs=0.08)
+        sizes, _ = rr_sizes_weights(g, res, 20_000)
+        assert sizes.mean() == pytest.approx(ept, abs=0.08)
 
     def test_matches_reference_sizes(self):
         rng = np.random.default_rng(4)
         g = random_tiny_graph(rng, n=7, m=12)
         T = 4000
         res = rr_batch(g, np.full(T, 4, dtype=np.int64), rng)
+        sizes, _ = rr_sizes_weights(g, res, T)
         ref = np.array(
             [
                 len(ref_rr_set(g, 4, np.random.default_rng(50_000 + t)))
                 for t in range(T)
             ]
         )
-        se = np.sqrt(res.sizes.var() / T + ref.var() / T)
-        assert abs(res.sizes.mean() - ref.mean()) < max(5 * se, 0.05)
+        se = np.sqrt(sizes.var() / T + ref.var() / T)
+        assert abs(sizes.mean() - ref.mean()) < max(5 * se, 0.05)
 
 
 class TestCosts:
@@ -83,17 +90,19 @@ class TestCosts:
         rng = np.random.default_rng(5)
         g = random_tiny_graph(rng, n=8, m=14)
         res = rr_batch(g, random_targets(g.n, 200, rng), rng)
+        sizes, weights = rr_sizes_weights(g, res, 200)
         indeg = g.in_degree()
         for i in range(200):
             members = res.vertex[res.rr_id == i]
-            assert res.weights[i] == indeg[members].sum()
-        assert res.vertex_cost == res.sizes.sum()
-        assert res.edge_cost == res.weights.sum()
+            assert weights[i] == indeg[members].sum()
+        assert res.vertex_cost == sizes.sum()
+        assert res.edge_cost == weights.sum()
 
     def test_chunked_generation_counts(self):
         g = path_graph(4, p=0.5)
         res = rr_sets(g, 1000, np.random.default_rng(6), max_batch_cells=64)
-        assert len(res.sizes) == 1000
+        sizes, _ = rr_sizes_weights(g, res, 1000)
+        assert len(sizes) == 1000
         assert res.rr_id.max() == 999 or 999 in res.rr_id
 
 

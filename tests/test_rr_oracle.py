@@ -80,6 +80,18 @@ def test_distributed_build_matches_batchwise_reference(spark, karate_graph):
     assert dist.vert_indptr.dtype == dist.rr_ids.dtype == np.int64
 
 
+def test_single_batch_build_equals_local(spark, karate_graph):
+    # The local build is batch 0 of the distributed one.
+    theta, base_seed = 3000, 5
+    dist = build_oracle(spark, karate_graph, theta, base_seed,
+                        batch_size=theta)
+    local = build_oracle_local(karate_graph, theta, base_seed)
+    assert (dist.n, dist.theta) == (local.n, local.theta)
+    assert np.array_equal(dist.vert_indptr, local.vert_indptr)
+    assert np.array_equal(dist.rr_ids, local.rr_ids)
+    assert dist.rr_ids.dtype == local.rr_ids.dtype == np.int64
+
+
 def test_ci_formula(karate_graph):
     oracle = build_oracle_local(karate_graph, 1 << 12)
     assert oracle.ci99_halfwidth == pytest.approx(
