@@ -10,7 +10,9 @@ arrays, cheap to broadcast to ``mapInPandas`` workers.
 Where every edge of a row shares one probability — UC in both directions,
 IWC in-edges (1/d⁻(v)), OWC out-edges (1/d⁺(u)) — the graph also carries
 that probability per row (``out_p_row`` / ``in_p_row``), so the coin
-kernels can test a level's coins without gathering ``p`` per edge.
+kernels can test a level's coins without gathering ``p`` per edge. Where
+every edge of the graph shares one p (UC), it is carried as that one
+``float``.
 """
 from dataclasses import dataclass
 
@@ -29,10 +31,11 @@ class CSRGraph:
     in_indptr: np.ndarray  # int64[n+1]
     in_src: np.ndarray  # int64[m], sorted by dst
     in_p: np.ndarray  # float64[m]
-    # float64[n]: the p shared by every edge of row v (0 for empty rows),
-    # or None when some row's edges differ in p.
-    out_p_row: np.ndarray | None
-    in_p_row: np.ndarray | None
+    # float: the p shared by every edge; else float64[n]: the p shared by
+    # every edge of row v (0 for empty rows); else None (some row's edges
+    # differ in p).
+    out_p_row: np.ndarray | float | None
+    in_p_row: np.ndarray | float | None
 
     @property
     def m(self) -> int:
@@ -54,10 +57,15 @@ def group_rows(row: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     """Lay keyed entries out as CSR rows: ``order`` sorts the entries by
     ``row`` (0 ≤ row < n), stably, and row r holds the entries
     ``order[indptr[r] : indptr[r + 1]]``."""
-    order = np.argsort(row, kind="stable")
+    return np.argsort(row, kind="stable"), row_indptr(row, n)
+
+
+def row_indptr(row: np.ndarray, n: int) -> np.ndarray:
+    """CSR ``indptr`` of entries keyed by ``row`` (0 ≤ row < n): row r
+    holds ``indptr[r + 1] − indptr[r]`` of them."""
     indptr = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(np.bincount(row, minlength=n), out=indptr[1:])
-    return order, indptr
+    return indptr
 
 
 def gather_edges(indptr: np.ndarray, frontier: np.ndarray):
@@ -79,8 +87,11 @@ def _pack(by: np.ndarray, other: np.ndarray, p: np.ndarray, n: int):
     return indptr, other[order].astype(np.int64), p[order].astype(np.float64)
 
 
-def _row_p(indptr: np.ndarray, p: np.ndarray) -> np.ndarray | None:
-    """Each row's p if all of the row's edges share it exactly, else None."""
+def _row_p(indptr: np.ndarray, p: np.ndarray) -> np.ndarray | float | None:
+    """The p every edge shares exactly, as a ``float``; else each row's p
+    if all of the row's edges share it exactly; else None."""
+    if len(p) and (p == p[0]).all():
+        return float(p[0])
     deg = np.diff(indptr)
     row = np.zeros(len(deg))
     nonempty = deg > 0

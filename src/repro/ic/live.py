@@ -1,10 +1,14 @@
 """Live-edge graph sampling and batched reachability (the Snapshot primitive).
 
-``sample_live`` draws one random graph G ~ 𝒢 by keeping each edge e with
-probability p(e) (Snapshot's Build). ``LiveGraphSet`` packs τ of them as
-layers of one big CSR (layer i's vertex v is row i·n + v; destinations stay
-layer-local) so that reachability queries against many (graph, seed-set)
-pairs run as a single :func:`repro.ic.expand` BFS without coins.
+Snapshot's Build, :func:`sample_live_set`, draws τ random graphs G ~ 𝒢,
+each by keeping every edge e with probability p(e), and packs them as
+layers of one big CSR: layer i's vertex v is row i·n + v, and destinations
+stay layer-local. Each layer draws its m coins in edge order
+(:func:`repro.ic.draw_hits`) and keeps the indices of its live edges; the
+live edges of all layers, stacked layer by layer, are then already sorted
+by row, so one ``bincount`` lays out ``indptr``. Reachability queries
+against many (graph, seed-set) pairs run as a single
+:func:`repro.ic.expand` BFS without coins.
 
 Cost accounting per the paper: *Estimate* scans each reachable vertex once
 (vertex cost) and examines its outgoing **live** edges (edge cost) — this is
@@ -15,28 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.graphs.csr import CSRGraph
-from repro.ic import expand
-
-
-@dataclass(frozen=True)
-class LiveGraph:
-    """One sampled random graph, compact CSR over the original vertex ids."""
-
-    n: int
-    indptr: np.ndarray  # int64[n+1]
-    dst: np.ndarray  # int64[#live edges]
-
-    @property
-    def m_live(self) -> int:
-        return len(self.dst)
-
-
-def sample_live(graph: CSRGraph, rng: np.random.Generator) -> LiveGraph:
-    """Draw G ~ 𝒢: keep each edge independently with probability p(e)."""
-    mask = rng.random(graph.m) < graph.out_p
-    csum = np.concatenate([[0], np.cumsum(mask)]).astype(np.int64)
-    return LiveGraph(graph.n, csum[graph.out_indptr], graph.out_dst[mask])
+from repro.graphs.csr import CSRGraph, row_indptr
+from repro.ic import draw_hits, expand
 
 
 @dataclass(frozen=True)
@@ -57,16 +41,12 @@ def sample_live_set(
     graph: CSRGraph, tau: int, rng: np.random.Generator
 ) -> LiveGraphSet:
     """Snapshot Build: sample τ live graphs into one layered structure."""
-    indptrs = [np.zeros(1, dtype=np.int64)]
-    dsts = []
-    base = 0
-    for _ in range(tau):
-        g = sample_live(graph, rng)
-        indptrs.append(g.indptr[1:] + base)
-        dsts.append(g.dst)
-        base += g.m_live
+    n = graph.n
+    live = [draw_hits(rng, graph.m, graph.out_p) for _ in range(tau)]
+    src = np.repeat(np.arange(n), graph.out_degree())
+    row = np.concatenate([src[e] + i * n for i, e in enumerate(live)])
     return LiveGraphSet(
-        graph.n, tau, np.concatenate(indptrs), np.concatenate(dsts)
+        n, tau, row_indptr(row, tau * n), graph.out_dst[np.concatenate(live)]
     )
 
 

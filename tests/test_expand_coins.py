@@ -1,9 +1,10 @@
 """Coins tested per row give the same BFS as coins tested per edge.
 
 ``expand`` takes a level's coins against ``p_row`` when every edge of a row
-shares one probability. It must draw exactly the numbers the per-edge path
-draws, in the same order, and keep the same edges; these checks compare
-the two paths key for key and ``Generator`` state for state.
+shares one probability, or against one scalar p when every edge does. It
+must draw exactly the numbers the per-edge path draws, in the same order,
+and keep the same edges; these checks compare the paths key for key and
+``Generator`` state for state.
 """
 import dataclasses
 
@@ -13,7 +14,7 @@ import pytest
 
 from repro.graphs import assign_probabilities, from_pandas
 from repro.graphs.probability import SETTINGS
-from repro.ic import expand
+from repro.ic import draw_hits, expand
 from repro.ic.forward import simulate_batch
 from repro.ic.rr import rr_batch
 
@@ -72,34 +73,39 @@ def test_row_coins_match_edge_coins(setting, build):
             assert row[2] == edge[2]  # the same number of draws
 
 
+def _assert_same_kernels(g, g0, seeds, seed):
+    # simulate_batch then rr_batch on one Generator, for each graph.
+    results = []
+    for graph in (g, g0):
+        rng = np.random.default_rng(seed)
+        sim = simulate_batch(graph, np.arange(len(seeds)), seeds,
+                             len(seeds), rng)
+        rr = rr_batch(graph, seeds, rng)
+        results.append((sim, rr, rng.bit_generator.state))
+    (sim, rr, state), (sim0, rr0, state0) = results
+    np.testing.assert_array_equal(sim.activated, sim0.activated)
+    assert (sim.vertex_cost, sim.edge_cost) == (sim0.vertex_cost,
+                                                sim0.edge_cost)
+    np.testing.assert_array_equal(rr.rr_id, rr0.rr_id)
+    np.testing.assert_array_equal(rr.vertex, rr0.vertex)
+    assert rr.edge_cost == rr0.edge_cost
+    assert state == state0
+
+
 @pytest.mark.parametrize("setting", SETTINGS)
 def test_kernels_match_graph_without_row_p(setting):
     g = _random_graph(setting, seed=43)
     plain = dataclasses.replace(g, out_p_row=None, in_p_row=None)
     seeds = np.arange(0, N, 7, dtype=np.int64)
     for graph_seed in (44, 45):
-        results = []
-        for graph in (g, plain):
-            rng = np.random.default_rng(graph_seed)
-            sim = simulate_batch(graph, np.arange(len(seeds)), seeds,
-                                 len(seeds), rng)
-            rr = rr_batch(graph, seeds, rng)
-            results.append((sim, rr, rng.bit_generator.state))
-        (sim, rr, state), (sim0, rr0, state0) = results
-        np.testing.assert_array_equal(sim.activated, sim0.activated)
-        assert (sim.vertex_cost, sim.edge_cost) == (sim0.vertex_cost,
-                                                    sim0.edge_cost)
-        np.testing.assert_array_equal(rr.rr_id, rr0.rr_id)
-        np.testing.assert_array_equal(rr.vertex, rr0.vertex)
-        assert rr.edge_cost == rr0.edge_cost
-        assert state == state0
+        _assert_same_kernels(g, plain, seeds, graph_seed)
 
 
 def test_row_p_detected_per_direction():
     uc = _random_graph("UC_0.1")
     deg_out, deg_in = uc.out_degree(), uc.in_degree()
-    np.testing.assert_array_equal(uc.out_p_row, np.where(deg_out, 0.1, 0.0))
-    np.testing.assert_array_equal(uc.in_p_row, np.where(deg_in, 0.1, 0.0))
+    assert type(uc.out_p_row) is float and uc.out_p_row == 0.1
+    assert type(uc.in_p_row) is float and uc.in_p_row == 0.1
 
     iwc = _random_graph("IWC")
     assert iwc.out_p_row is None
@@ -110,6 +116,50 @@ def test_row_p_detected_per_direction():
     assert owc.in_p_row is None
     np.testing.assert_array_equal(owc.out_p_row[deg_out > 0],
                                   1.0 / deg_out[deg_out > 0])
+
+
+def test_scalar_p_row_matches_array():
+    # The float a UC graph carries and its per-row array form draw the
+    # same coins against the same p.
+    g = _random_graph("UC_0.1", seed=47)
+    assert isinstance(g.out_p_row, float) and isinstance(g.in_p_row, float)
+    arrays = dataclasses.replace(
+        g,
+        out_p_row=np.where(g.out_degree() > 0, g.out_p_row, 0.0),
+        in_p_row=np.where(g.in_degree() > 0, g.in_p_row, 0.0),
+    )
+    seeds = np.arange(0, N, 5, dtype=np.int64)
+    key = np.arange(len(seeds)) * N + seeds
+    for seed in (48, 49):
+        for (indptr, nbr, p, p_row), (*_, p_arr) in zip(
+            _directions(g), _directions(arrays), strict=True
+        ):
+            scalar = _run(indptr, nbr, p, key, N, seed, p_row)
+            array = _run(indptr, nbr, p, key, N, seed, p_arr)
+            np.testing.assert_array_equal(scalar[0], array[0])
+            assert scalar[1:] == array[1:]
+        _assert_same_kernels(g, arrays, seeds, seed)
+
+
+@pytest.mark.parametrize("form", ["float", "array"])
+def test_blocked_draws_match_one_draw(form):
+    # A hub's 200k out-edges are drawn in several blocks; the hits, the
+    # edge count and the Generator state are those of one draw of 200k.
+    m = 200_000
+    p = 0.01 if form == "float" else np.random.default_rng(50).random(m)
+    hits = draw_hits(np.random.default_rng(51), m, p)
+    rng = np.random.default_rng(51)
+    np.testing.assert_array_equal(hits, np.flatnonzero(rng.random(m) < p))
+    indptr = np.array([0, m] + [m] * m)
+    nbr = np.arange(1, m + 1)
+    p_row = p if form == "float" else None
+    p_edge = np.broadcast_to(p, m)
+    got = np.random.default_rng(51)
+    keys, edges = expand(indptr, nbr, p_edge, np.zeros(1, np.int64), m + 1,
+                         got, p_row=p_row)
+    np.testing.assert_array_equal(keys, np.concatenate([[0], hits + 1]))
+    assert edges == m
+    assert got.bit_generator.state == rng.bit_generator.state
 
 
 @pytest.mark.parametrize("direction", ["out", "in"])
@@ -129,4 +179,4 @@ def test_one_ulp_off_row_is_not_row_constant(direction):
     nudged, kept = ((g.out_p_row, g.in_p_row) if direction == "out"
                     else (g.in_p_row, g.out_p_row))
     assert nudged is None
-    assert kept is not None and kept[edges[other][i]] == p[i]
+    assert isinstance(kept, np.ndarray) and kept[edges[other][i]] == p[i]

@@ -7,7 +7,9 @@ one kernel call on such a sparse instance, and, on a hub whose 200k edges
 share p = 0.01, the bytes per examined edge of a coin level: failed coins
 need no per-edge index arrays. Snapshot's Estimate at |S| > 0 holds
 R_i(S) once, as a mask over the live rows, rather than in every
-candidate's traversal.
+candidate's traversal. Snapshot's Build draws its τ·m coins one layer at a
+time, so its peak follows the τ·n rows and τ·m̃ live edges it returns, not
+a (τ, m) block of draws.
 """
 import tracemalloc
 
@@ -71,6 +73,23 @@ def test_reach_batch_peak_memory(sparse_graph):
 
     assert _peak_bytes(run) < LIMIT
     assert res.reached.min() >= 1 and len(res.reached) == BATCH
+
+
+BUILD_TAU = 64
+BUILD_LIMIT = 70 << 20  # bytes; one (τ, m) float64 draw alone is 73 MB
+
+
+def test_snapshot_build_peak_memory(sparse_graph):
+    rng = np.random.default_rng(37)
+    live = None
+
+    def run():
+        nonlocal live
+        live = sample_live_set(sparse_graph, BUILD_TAU, rng)
+
+    assert _peak_bytes(run) < BUILD_LIMIT
+    assert live.tau == BUILD_TAU
+    assert len(live.indptr) == BUILD_TAU * N + 1
 
 
 SNAPSHOT_LIMIT = 16 << 20  # bytes; τ·n candidate scans of R_i(S) ≈ 200 MB

@@ -1,35 +1,68 @@
 """Live-edge sampling + layered reachability (Snapshot primitives)."""
 import numpy as np
+import pandas as pd
 import pytest
 
+from repro.graphs import assign_probabilities, from_pandas
 from repro.ic import expand
-from repro.ic.live import reach_batch, sample_live, sample_live_set
-from tests.helpers import graph_from_edges, path_graph, random_tiny_graph, ref_reachable
+from repro.ic.live import reach_batch, sample_live_set
+from tests.helpers import (
+    graph_from_edges,
+    path_graph,
+    random_tiny_graph,
+    ref_live_layers,
+    ref_reachable,
+)
 
 
 class TestSampleLive:
     def test_p1_keeps_all(self):
         g = path_graph(5, p=1.0)
-        live = sample_live(g, np.random.default_rng(0))
-        assert live.m_live == 4
+        live = sample_live_set(g, 1, np.random.default_rng(0))
+        assert live.total_live_edges == 4
         assert list(live.indptr) == list(g.out_indptr)
 
     def test_edge_keep_rate(self):
         g = graph_from_edges([(0, 1, 0.3)] * 1, n=2)
         rng = np.random.default_rng(0)
         kept = sum(
-            sample_live(g, rng).m_live for _ in range(5000)
+            sample_live_set(g, 1, rng).total_live_edges for _ in range(5000)
         )
         assert kept / 5000 == pytest.approx(0.3, abs=0.03)
 
     def test_live_edges_subset(self):
         rng = np.random.default_rng(1)
         g = random_tiny_graph(rng, n=8, m=16)
-        live = sample_live(g, rng)
+        live = sample_live_set(g, 1, rng)
         for v in range(g.n):
             full = set(g.out_dst[g.out_indptr[v]:g.out_indptr[v + 1]])
             kept = set(live.dst[live.indptr[v]:live.indptr[v + 1]])
             assert kept <= full
+
+
+def _graph(setting: str, n: int, m: int, seed: int = 7):
+    # m random arcs over n vertices: with m < n many rows are empty.
+    rng = np.random.default_rng(seed)
+    edges = pd.DataFrame({"src": rng.integers(0, n, m),
+                          "dst": rng.integers(0, n, m)})
+    return from_pandas(assign_probabilities(edges, setting), n)
+
+
+@pytest.mark.parametrize("tau", [1, 3, 17])
+@pytest.mark.parametrize("setting,n,m", [
+    ("UC_0.1", 60, 40), ("IWC", 60, 40), ("OWC", 60, 40),
+    ("IWC", 30, 90),  # denser, few empty rows
+    ("UC_0.1", 5, 0),  # edgeless
+])
+def test_build_matches_per_layer_loop(setting, n, m, tau):
+    g = _graph(setting, n, m)
+    rng, ref_rng = np.random.default_rng(8), np.random.default_rng(8)
+    live = sample_live_set(g, tau, rng)
+    indptr, dst = ref_live_layers(g, tau, ref_rng)
+    for got, want in ((live.indptr, indptr), (live.dst, dst)):
+        assert got.dtype == want.dtype
+        np.testing.assert_array_equal(got, want)
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
 def _layer_live_edges(ls) -> np.ndarray:
