@@ -1,9 +1,10 @@
 """Algorithm 3.4 — naive RIS (reverse influence sampling) estimator.
 
-Build draws θ RR sets for uniformly random targets. Estimate(S, v) returns
-n · F_ℛ(v), the scaled fraction of *remaining* RR sets containing v; Update
-removes RR sets covered by the chosen seed, so subsequent estimates are
-marginal coverages with respect to the current seed set.
+Build draws θ RR sets for uniformly random targets, grouped by vertex (an
+``RRSets``, like the oracle). Estimate(S, v) returns n · F_ℛ(v), the scaled
+fraction of *remaining* RR sets containing v; Update marks the chosen
+seed's sets covered, so subsequent estimates are marginal coverages with
+respect to the current seed set.
 
 Sample size = total stored membership entries Σ|R| (≈ θ·EPT in
 expectation). Traversal cost is charged entirely to Build (RR generation);
@@ -22,21 +23,21 @@ class RISEstimator:
     ) -> None:
         if theta < 1:
             raise ValueError("theta must be >= 1")
-        self.graph = graph
-        self.theta = theta
-        res = rr_sets(graph, theta, rng)
-        self.rr_id = res.rr_id
-        self.vertex = res.vertex
-        self.alive = np.ones(theta, dtype=bool)
-        self.vertex_cost = res.vertex_cost
-        self.edge_cost = res.edge_cost
-        self.sample_size = res.vertex_cost  # Σ|R|
+        self.sets = rr_sets(graph, theta, rng)
+        self.covered = np.zeros(theta, dtype=bool)
+        self.sizes = np.diff(self.sets.vert_indptr)  # sets per vertex
+        self.vertex_cost = self.sets.vertex_cost
+        self.edge_cost = self.sets.edge_cost
+        self.sample_size = self.sets.vertex_cost  # Σ|R|
 
     def estimate_all(self, current_seeds: np.ndarray) -> np.ndarray:  # noqa: ARG002
-        live = self.alive[self.rr_id]
-        counts = np.bincount(self.vertex[live], minlength=self.graph.n)
-        return self.graph.n * counts / self.theta
+        sets = self.sets
+        # Covered entries, each owned by the vertex whose range holds it.
+        pos = np.take(self.covered, sets.rr_ids).nonzero()[0]
+        owner = sets.vert_indptr[1:].searchsorted(pos, side="right")
+        alive = self.sizes - np.bincount(owner, minlength=sets.n)
+        return sets.n * alive / sets.theta
 
     def update(self, chosen: int) -> None:
-        covered = np.unique(self.rr_id[self.vertex == chosen])
-        self.alive[covered] = False
+        ptr = self.sets.vert_indptr
+        self.covered[self.sets.rr_ids[ptr[chosen] : ptr[chosen + 1]]] = True

@@ -27,8 +27,8 @@ import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
 
 from repro.algorithms import ALGORITHMS, make_estimator, run_greedy
-from repro.experiments.rr_oracle import RROracle
 from repro.graphs.csr import CSRGraph
+from repro.ic.rr import RRSets
 from repro.util import trial_rng
 
 RESULT_SCHEMA = (
@@ -50,7 +50,7 @@ class TrialTask:
 
 def run_trial_local(
     graph: CSRGraph,
-    oracle: RROracle,
+    oracle: RRSets,
     task: TrialTask,
     base_seed: int,
 ) -> dict:
@@ -83,7 +83,7 @@ def run_trial_local(
 def run_trials(
     spark: SparkSession,
     graph: CSRGraph,
-    oracle: RROracle,
+    oracle: RRSets,
     tasks: list[TrialTask],
     base_seed: int = 2020,
 ) -> DataFrame:

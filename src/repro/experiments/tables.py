@@ -10,7 +10,7 @@ from pyspark.sql import DataFrame, SparkSession
 from repro.experiments import quality, ratios
 from repro.experiments.entropy import GROUP
 from repro.experiments.instances import Sweep, traversal_instances
-from repro.experiments.rr_oracle import RROracle, build_oracle
+from repro.experiments.rr_oracle import RRSets, build_oracle
 from repro.experiments.runner import run_trials, sweep_tasks
 from repro.experiments.traversal import table8_rows, table9_rows
 from repro.graphs import (
@@ -19,7 +19,7 @@ from repro.graphs import (
 )
 from repro.graphs.stats import table3_row
 
-_ORACLE_CACHE: dict[tuple[str, str, int], RROracle] = {}
+_ORACLE_CACHE: dict[tuple[str, str, int], RRSets] = {}
 _GRAPH_CACHE: dict[tuple[str, str], CSRGraph] = {}
 
 
@@ -35,7 +35,7 @@ def cached_graph(spark, network: str, setting: str) -> CSRGraph:
     return _GRAPH_CACHE[key]
 
 
-def cached_oracle(spark, network: str, setting: str, theta: int) -> RROracle:
+def cached_oracle(spark, network: str, setting: str, theta: int) -> RRSets:
     key = (network, setting, theta)
     if key not in _ORACLE_CACHE:
         _ORACLE_CACHE[key] = build_oracle(

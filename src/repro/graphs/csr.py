@@ -56,8 +56,14 @@ class CSRGraph:
 def group_rows(row: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     """Lay keyed entries out as CSR rows: ``order`` sorts the entries by
     ``row`` (0 ≤ row < n), stably, and row r holds the entries
-    ``order[indptr[r] : indptr[r + 1]]``."""
-    return np.argsort(row, kind="stable"), row_indptr(row, n)
+    ``order[indptr[r] : indptr[r + 1]]``. ``order`` is a linear-time LSD
+    radix sort: one stable ``uint16`` argsort (NumPy radix-sorts those)
+    per 16 bits of n − 1."""
+    order = np.argsort(row.astype(np.uint16), kind="stable")
+    for shift in range(16, (n - 1).bit_length(), 16):
+        digit = (row[order] >> shift).astype(np.uint16)
+        order = order[np.argsort(digit, kind="stable")]
+    return order, row_indptr(row, n)
 
 
 def row_indptr(row: np.ndarray, n: int) -> np.ndarray:

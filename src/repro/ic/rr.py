@@ -6,6 +6,9 @@ visited vertex's in-edges with a fresh coin (Borgs et al.'s reverse
 simulation). A batch of θ RR sets runs as one :func:`repro.ic.expand` BFS
 over the in-edges of θ disjoint copies of the graph.
 
+RIS (Alg 3.4) and the shared oracle (§5.2) hold the same :class:`RRSets`,
+at different θ.
+
 Costs per the paper (§3.5.2): vertex cost = |R| (so E = EPT), edge cost =
 w(R) = Σ_{v∈R} d⁻(v) — every in-edge of a visited vertex is examined.
 """
@@ -13,22 +16,59 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.graphs.csr import CSRGraph
+from repro.graphs.csr import CSRGraph, group_rows
 from repro.ic import expand
 
 
-@dataclass
-class RRBatchResult:
-    rr_id: np.ndarray  # int64[K] — RR-set index per membership entry
-    vertex: np.ndarray  # int64[K] — member vertex
+@dataclass(frozen=True)
+class RRSets:
+    """θ RR sets grouped by vertex: the sets containing v are
+    ``rr_ids[vert_indptr[v] : vert_indptr[v + 1]]``, ascending."""
+
+    n: int
+    theta: int
+    vert_indptr: np.ndarray  # int64[n+1]
+    rr_ids: np.ndarray  # int32[K], grouped by vertex
     vertex_cost: int  # Σ |R| = K
-    edge_cost: int  # Σ w(R), w(R) = Σ_{v∈R} d⁻(v)
+    edge_cost: int  # Σ w(R) = Σ_v |sets of v| · d⁻(v)
+
+    @classmethod
+    def group(cls, graph: CSRGraph, theta: int, rr_id, vertex) -> "RRSets":
+        """Group membership entries (rr_id, vertex), given in ascending id
+        order, by vertex."""
+        order, indptr = group_rows(vertex, graph.n)
+        ids = rr_id.astype(np.int32, copy=False)[order]
+        edge_cost = int(np.diff(indptr) @ graph.in_degree())
+        return cls(graph.n, theta, indptr, ids, len(ids), edge_cost)
+
+    @property
+    def ci99_halfwidth(self) -> float:
+        return 1.288 * self.n / np.sqrt(self.theta)
+
+    def estimate(self, seeds) -> float:
+        """Inf(S) ≈ n · F_ℛ(S) for one seed set."""
+        ptr = self.vert_indptr
+        ids = [self.rr_ids[ptr[v] : ptr[v + 1]] for v in np.atleast_1d(seeds)]
+        covered = len(np.unique(np.concatenate(ids))) if ids else 0
+        return self.n * covered / self.theta
+
+    def singleton_estimates(self) -> np.ndarray:
+        """Inf({v}) for all v in one pass (Table 4's workhorse)."""
+        return self.n * np.diff(self.vert_indptr) / self.theta
+
+
+def check_ids(n: int, theta: int) -> None:
+    """RR ids and vertices are stored and shipped as int32."""
+    if max(n, theta) >= 2**31:
+        raise ValueError(f"n = {n} and theta = {theta} must be below 2**31")
 
 
 def rr_batch(
     graph: CSRGraph, targets: np.ndarray, rng: np.random.Generator
-) -> RRBatchResult:
-    """Generate one RR set per entry of ``targets`` (vertex ids)."""
+) -> tuple[np.ndarray, np.ndarray, int]:
+    """Generate one RR set per entry of ``targets`` (vertex ids). Returns
+    the membership ``(rr_id, vertex)``, sorted by (rr id, vertex), and the
+    number of edges examined."""
     n = graph.n
     members, edge_cost = expand(
         graph.in_indptr, graph.in_src, graph.in_p,
@@ -36,7 +76,7 @@ def rr_batch(
         p_row=graph.in_p_row,
     )
     rr_id, vertex = np.divmod(members, n)
-    return RRBatchResult(rr_id, vertex, len(members), edge_cost)
+    return rr_id, vertex, edge_cost
 
 
 def random_targets(
@@ -51,24 +91,18 @@ def rr_sets(
     theta: int,
     rng: np.random.Generator,
     max_batch_cells: int = 50_000_000,
-) -> RRBatchResult:
+) -> RRSets:
     """θ RR sets for uniformly random targets, in chunks of
     ``max_batch_cells // n`` sets. Each chunk draws its targets and then its
     coins, so the chunk boundaries fix the RNG stream; memory follows the
     keys visited, not the chunk size."""
+    check_ids(graph.n, theta)
     per_chunk = max(1, max_batch_cells // max(1, graph.n))
-    parts: list[RRBatchResult] = []
-    done = 0
-    while done < theta:
-        b = min(per_chunk, theta - done)
-        parts.append(rr_batch(graph, random_targets(graph.n, b, rng), rng))
-        done += b
-    if len(parts) == 1:
-        return parts[0]
-    offs = range(0, theta, per_chunk)
-    return RRBatchResult(
-        np.concatenate([p.rr_id + o for p, o in zip(parts, offs)]),
-        np.concatenate([p.vertex for p in parts]),
-        sum(p.vertex_cost for p in parts),
-        sum(p.edge_cost for p in parts),
-    )
+    rr_id, vertex = [], []
+    for first in range(0, theta, per_chunk):
+        b = min(per_chunk, theta - first)
+        r, v, _ = rr_batch(graph, random_targets(graph.n, b, rng), rng)
+        rr_id.append(r + first)
+        vertex.append(v)
+    return RRSets.group(graph, theta, np.concatenate(rr_id),
+                        np.concatenate(vertex))

@@ -43,13 +43,22 @@ def random_tiny_graph(rng, n=6, m=9) -> CSRGraph:
     )
 
 
-def rr_sizes_weights(graph: CSRGraph, res, theta: int):
-    """|R| and w(R) = Σ_{v∈R} d⁻(v) per RR set of an ``RRBatchResult``."""
-    sizes = np.bincount(res.rr_id, minlength=theta).astype(np.int64)
+def rr_sizes_weights(graph: CSRGraph, rr_id, vertex, theta: int):
+    """|R| and w(R) = Σ_{v∈R} d⁻(v) per RR set of membership entries
+    ``(rr_id, vertex)``."""
+    sizes = np.bincount(rr_id, minlength=theta).astype(np.int64)
     weights = np.bincount(
-        res.rr_id, graph.in_degree()[res.vertex], minlength=theta
+        rr_id, graph.in_degree()[vertex], minlength=theta
     ).astype(np.int64)
     return sizes, weights
+
+
+def rr_membership(sets):
+    """``(rr_id, vertex)`` of an ``RRSets`` in set order, sorted by
+    (rr id, vertex) as ``rr_batch`` returns them."""
+    vertex = np.repeat(np.arange(sets.n), np.diff(sets.vert_indptr))
+    order = np.lexsort((vertex, sets.rr_ids))
+    return sets.rr_ids[order].astype(np.int64), vertex[order]
 
 
 def entropy_bits(counts) -> float:

@@ -4,7 +4,7 @@ import pandas as pd
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.graphs.csr import from_pandas
+from repro.graphs.csr import from_pandas, group_rows
 from tests.helpers import graph_from_edges
 
 
@@ -76,3 +76,28 @@ def test_roundtrip_property(edges):
     assert g.m == len(pdf)
     assert g.out_degree().sum() == g.in_degree().sum() == g.m
     assert g.m_tilde == pytest.approx(pdf["p"].sum())
+
+
+@pytest.mark.parametrize("dtype", [np.int32, np.int64])
+@pytest.mark.parametrize("n", [1, 34, 1 << 16, (1 << 16) + 1, 1 << 20])
+def test_group_rows_is_stable_argsort(n, dtype):
+    # Radix passes over 16-bit digits: one for n ≤ 2¹⁶, two beyond. Rows
+    # repeat (the order within a row is the input order) and include the
+    # extremes 0 and n − 1.
+    rng = np.random.default_rng(n)
+    row = np.concatenate(
+        [rng.integers(0, n, 200_000), [0, n - 1, n - 1, 0]]
+    ).astype(dtype)
+    order, indptr = group_rows(row, n)
+    np.testing.assert_array_equal(order, np.argsort(row, kind="stable"))
+    np.testing.assert_array_equal(
+        indptr, np.searchsorted(np.sort(row), np.arange(n + 1))
+    )
+    assert indptr.dtype == np.int64
+
+
+@pytest.mark.parametrize("dtype", [np.int32, np.int64])
+def test_group_rows_empty(dtype):
+    order, indptr = group_rows(np.empty(0, dtype=dtype), 5)
+    assert len(order) == 0
+    np.testing.assert_array_equal(indptr, np.zeros(6))

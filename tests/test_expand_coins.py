@@ -86,9 +86,8 @@ def _assert_same_kernels(g, g0, seeds, seed):
     np.testing.assert_array_equal(sim.activated, sim0.activated)
     assert (sim.vertex_cost, sim.edge_cost) == (sim0.vertex_cost,
                                                 sim0.edge_cost)
-    np.testing.assert_array_equal(rr.rr_id, rr0.rr_id)
-    np.testing.assert_array_equal(rr.vertex, rr0.vertex)
-    assert rr.edge_cost == rr0.edge_cost
+    for a, b in zip(rr, rr0):  # rr_id, vertex, edge count
+        np.testing.assert_array_equal(a, b)
     assert state == state0
 
 

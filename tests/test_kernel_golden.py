@@ -17,7 +17,7 @@ from repro.graphs import assign_probabilities, generators
 from repro.graphs.csr import CSRGraph, from_pandas
 from repro.ic.forward import simulate_single_seeds
 from repro.ic.rr import rr_sets
-from tests.helpers import rr_sizes_weights
+from tests.helpers import rr_membership, rr_sizes_weights
 
 
 def _digest(*arrays) -> int:
@@ -105,8 +105,9 @@ def _snapshot_s4(g):
 def _rr(g):
     res = rr_sets(g, 3000, np.random.default_rng(13),
                   max_batch_cells=1_000_000)  # 1000 RR sets per chunk
+    rr_id, vertex = rr_membership(res)
     return res.vertex_cost, res.edge_cost, _digest(
-        res.rr_id, res.vertex, *rr_sizes_weights(g, res, 3000)
+        rr_id, vertex, *rr_sizes_weights(g, rr_id, vertex, 3000)
     )
 
 

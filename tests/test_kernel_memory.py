@@ -56,7 +56,7 @@ def test_rr_batch_peak_memory(sparse_graph):
         res = rr_batch(sparse_graph, targets, rng)
 
     assert _peak_bytes(run) < LIMIT
-    sizes = np.bincount(res.rr_id, minlength=BATCH)
+    sizes = np.bincount(res[0], minlength=BATCH)
     assert sizes.min() >= 1 and len(sizes) == BATCH
 
 
@@ -151,5 +151,5 @@ def test_rr_batch_coin_memory_per_edge():
         res = rr_batch(g, np.zeros(1, np.int64), rng)
 
     peak = _peak_bytes(run)
-    assert res.edge_cost == STAR_EDGES
+    assert res[2] == STAR_EDGES
     assert peak < BYTES_PER_EDGE * STAR_EDGES

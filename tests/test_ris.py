@@ -4,10 +4,11 @@ import itertools
 import numpy as np
 import pytest
 
-from repro.algorithms.base import run_greedy
+from repro.algorithms.base import argmax_last, run_greedy
 from repro.algorithms.ris import RISEstimator
+from repro.graphs import assign_probabilities, build_network_pandas, from_pandas
 from repro.ic.exact import exact_singleton_influences
-from tests.helpers import path_graph, random_tiny_graph
+from tests.helpers import path_graph, random_tiny_graph, rr_membership
 
 
 def test_unbiased_singletons():
@@ -54,7 +55,7 @@ def test_greedy_solves_max_coverage():
     g = random_tiny_graph(rng, n=7, m=14)
     est = RISEstimator(g, 300, rng)
     rr_sets = {}
-    for r, v in zip(est.rr_id, est.vertex):
+    for r, v in zip(*rr_membership(est.sets)):
         rr_sets.setdefault(int(r), set()).add(int(v))
     res = run_greedy(est, g.n, 2, np.random.default_rng(4))
 
@@ -75,10 +76,41 @@ def test_greedy_solves_max_coverage():
     assert freq[res.seeds[0]] == freq.max()
 
 
+def _karate_iwc():
+    return from_pandas(
+        assign_probabilities(build_network_pandas("Karate"), "IWC")
+    )
+
+
+@pytest.mark.parametrize("graph", ["tiny", "Karate IWC"])
+def test_marginals_are_coverage_differences(graph):
+    # At every step of a k=4 greedy, each candidate's estimate is n/θ times
+    # the number of the estimator's own RR sets it newly covers.
+    rng = np.random.default_rng(7)
+    g = random_tiny_graph(rng, n=7, m=14) if graph == "tiny" else _karate_iwc()
+    theta = 2000
+    est = RISEstimator(g, theta, rng)
+    ptr, ids = est.sets.vert_indptr, est.sets.rr_ids
+    sets_of = [set(ids[ptr[v] : ptr[v + 1]].tolist()) for v in range(g.n)]
+    order = rng.permutation(g.n)
+    seeds, covered = [], set()
+    for _ in range(4):
+        vals = est.estimate_all(np.array(seeds, dtype=np.int64))
+        for v in set(range(g.n)) - set(seeds):
+            gain = len(covered | sets_of[v]) - len(covered)
+            assert vals[v] == g.n * gain / theta, v
+            assert int(round(vals[v] * theta / g.n)) == gain
+        vals[seeds] = -np.inf
+        chosen = argmax_last(vals, order)
+        seeds.append(chosen)
+        covered |= sets_of[chosen]
+        est.update(chosen)
+
+
 def test_sample_size_counts_membership():
     g = path_graph(4, p=0.5)
     est = RISEstimator(g, 500, np.random.default_rng(5))
-    assert est.sample_size == len(est.rr_id)
+    assert est.sample_size == len(est.sets.rr_ids)
     assert est.sample_size >= 500  # every set contains its target
 
 

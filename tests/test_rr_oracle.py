@@ -67,9 +67,9 @@ def test_distributed_build_matches_batchwise_reference(spark, karate_graph):
     for b in range(n_batches):
         count = min(batch_size, theta - b * batch_size)
         rng = trial_rng(base_seed, b)
-        res = rr_batch(karate_graph, random_targets(n, count, rng), rng)
-        rr_id.append(res.rr_id + b * batch_size)
-        vertex.append(res.vertex)
+        r, v, _ = rr_batch(karate_graph, random_targets(n, count, rng), rng)
+        rr_id.append(r + b * batch_size)
+        vertex.append(v)
     rr_id, vertex = np.concatenate(rr_id), np.concatenate(vertex)
     order = np.lexsort((rr_id, vertex))
     indptr = np.concatenate(([0], np.cumsum(np.bincount(vertex, minlength=n))))
@@ -77,7 +77,8 @@ def test_distributed_build_matches_batchwise_reference(spark, karate_graph):
     assert dist.theta == theta
     assert np.array_equal(dist.vert_indptr, indptr)
     assert np.array_equal(dist.rr_ids, rr_id[order])
-    assert dist.vert_indptr.dtype == dist.rr_ids.dtype == np.int64
+    assert dist.vert_indptr.dtype == np.int64
+    assert dist.rr_ids.dtype == np.int32
 
 
 def test_single_batch_build_equals_local(spark, karate_graph):
@@ -89,7 +90,13 @@ def test_single_batch_build_equals_local(spark, karate_graph):
     assert (dist.n, dist.theta) == (local.n, local.theta)
     assert np.array_equal(dist.vert_indptr, local.vert_indptr)
     assert np.array_equal(dist.rr_ids, local.rr_ids)
-    assert dist.rr_ids.dtype == local.rr_ids.dtype == np.int64
+    assert dist.rr_ids.dtype == local.rr_ids.dtype == np.int32
+
+
+def test_distributed_build_refuses_theta_beyond_int32(spark, karate_graph):
+    # Membership ships as int32: θ = 2³¹ is refused before any batch runs.
+    with pytest.raises(ValueError, match="2\\*\\*31"):
+        build_oracle(spark, karate_graph, 2**31)
 
 
 def test_ci_formula(karate_graph):
