@@ -12,7 +12,7 @@ the live out-degree summed over R_i(S). For v ∈ R_i(S) (every v ∈ S
 included) no BFS runs: the marginal is 0 and the charge a_i vertices and
 e_i edges. Otherwise a BFS from v that treats R_i(S) as visited returns
 exactly R_i(v) \\ R_i(S), the marginal, and the charge is a_i and e_i plus
-what that BFS examines. Each candidate meets each layer once, so the
+what that BFS examines. Each candidate meets each live graph once, so the
 computed charge is n·Σ_i a_i vertices and n·Σ_i e_i edges: the base scan's
 counters n more times. The pruning is PMC's BFS over already-reached sets
 (Ohsaka et al., AAAI 2014).
@@ -46,22 +46,19 @@ class SnapshotEstimator:
         self.sample_size = int(self.live.total_live_edges)
         self.max_batch_cells = max_batch_cells
 
-    def _marginals(self, current: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """r_{G(i)}(S + v) − r_{G(i)}(S) per candidate v and layer i, an
-        (n, τ) matrix, and the row of r_{G(i)}(S). ``max_batch_cells // n``
-        walked (v, i) pairs share one ``reach_batch`` call: a batch
-        boundary, not a memory budget, and it may split a candidate's
-        layers."""
+    def _marginals(self, current: np.ndarray) -> np.ndarray:
+        """r_{G(i)}(S + v) − r_{G(i)}(S) per candidate v and live graph i,
+        an (n, τ) matrix. ``max_batch_cells // n`` walked pairs (v, i),
+        live row i·n + v, share one ``reach_batch`` call: a batch boundary,
+        not a memory budget, and it may split a candidate's graphs."""
         n, tau = self.graph.n, self.tau
         blocked = np.zeros(tau * n, dtype=bool)  # live row i·n + v ∈ R_i(S)
-        base = np.zeros(tau, dtype=np.int64)
         if len(current):
-            layers = np.arange(tau)
-            res = reach_batch(self.live, layers,
-                              np.repeat(layers, len(current)),
-                              np.tile(current, tau), tau)
-            blocked[res.keys] = True  # batch entry i runs on layer i
-            base = res.reached
+            # R_i(S) of every i as one BFS: the live graphs share no row.
+            seeds = (np.arange(tau)[:, None] * n + current).ravel()
+            res = reach_batch(self.live, np.zeros(len(seeds), np.int64),
+                              seeds, 1)
+            blocked[res.keys] = True
             self.vertex_cost += (n + 1) * res.vertex_cost
             self.edge_cost += (n + 1) * res.edge_cost
         marg = np.zeros(tau * n, dtype=np.int64)
@@ -72,17 +69,15 @@ class SnapshotEstimator:
         for lo in range(0, len(walk), per_chunk):
             row = walk[lo : lo + per_chunk]
             B = len(row)
-            layer, v = np.divmod(row, n)
-            res = reach_batch(self.live, layer, np.arange(B), v, B,
-                              blocked=mask)
+            res = reach_batch(self.live, np.arange(B), row, B, blocked=mask)
             marg[row] = res.reached
             self.vertex_cost += res.vertex_cost
             self.edge_cost += res.edge_cost
-        return marg.reshape(tau, n).T, base
+        return marg.reshape(tau, n).T
 
     def estimate_all(self, current_seeds: np.ndarray) -> np.ndarray:
         current = np.asarray(current_seeds, dtype=np.int64)
-        return self._marginals(current)[0].mean(axis=1)
+        return self._marginals(current).mean(axis=1)
 
     def update(self, chosen: int) -> None:  # noqa: ARG002 — per Alg 3.3
         return None

@@ -104,10 +104,9 @@ def directed_scale_free(
 def community_collab(
     n: int,
     *,
-    mean_clique: float = 4.0,
+    clique_alpha: float,
     whisker_frac: float = 0.35,
     extra_edge_frac: float = 0.15,
-    clique_alpha: float | None = None,
     max_clique: int = 45,
     seed: int,
 ) -> pd.DataFrame:
@@ -115,29 +114,24 @@ def community_collab(
 
     A fraction ``1 - whisker_frac`` of vertices is packed into cliques
     (papers' co-authorship groups → high clustering coefficient). Clique
-    sizes are 2 + Poisson(mean_clique - 2), or — when ``clique_alpha`` is
-    given — power-law P(s) ∝ s^-alpha over [2, max_clique], which matches
-    real collaboration networks' heavy-tailed group sizes; the big cliques
-    are what percolate into a giant component under UC_0.1 (the paper's
-    core–whisker traversal-cost finding on ca-GrQc). Cliques are chained
-    into a connected core with bridge edges plus ``extra_edge_frac * n``
-    random core–core edges. Remaining vertices hang off random vertices as
-    tree whiskers. Every undirected edge appears as two arcs, so Δ⁺ = Δ⁻
-    as in ca-GrQc.
+    sizes follow the power law P(s) ∝ s^-``clique_alpha`` over
+    [2, max_clique], which matches real collaboration networks'
+    heavy-tailed group sizes; the big cliques are what percolate into a
+    giant component under UC_0.1 (the paper's core–whisker traversal-cost
+    finding on ca-GrQc). Cliques are chained into a connected core with
+    bridge edges plus ``extra_edge_frac * n`` random core–core edges.
+    Remaining vertices hang off random vertices as tree whiskers. Every
+    undirected edge appears as two arcs, so Δ⁺ = Δ⁻ as in ca-GrQc.
     """
     rng = np.random.default_rng(seed)
     n_core = max(2, int(round(n * (1 - whisker_frac))))
-    if clique_alpha is not None:
-        support = np.arange(2, max_clique + 1, dtype=np.float64)
-        pw = support**(-clique_alpha)
-        pw /= pw.sum()
+    support = np.arange(2, max_clique + 1, dtype=np.float64)
+    pw = support**(-clique_alpha)
+    pw /= pw.sum()
     sizes = []
     total = 0
     while total < n_core:
-        if clique_alpha is not None:
-            s = int(rng.choice(support, p=pw))
-        else:
-            s = 2 + rng.poisson(max(0.0, mean_clique - 2.0))
+        s = int(rng.choice(support, p=pw))
         s = min(s, n_core - total) if n_core - total < 2 * s else s
         sizes.append(max(1, s))
         total += sizes[-1]

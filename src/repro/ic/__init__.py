@@ -16,15 +16,14 @@ every edge of a row shares one p (UC; IWC in-edges; OWC out-edges; see
 ``CSRGraph.out_p_row``), a level tests its draws against the rows' p —
 against one scalar p when the whole graph shares it (UC) — and builds edge
 indices only for the surviving edges; other rows gather every edge's index
-and p. All give the same draws and the same edges.
+and p. All give the same draws and the same edges. Snapshot's τ live graphs
+draw no coins: they are one graph whose rows are (live graph, vertex) pairs.
 
 The visited set is a sorted key array, so memory is proportional to the
 keys visited, not to B·n. Traversal cost follows the paper (§3.2): every
 visited vertex is scanned once (vertex cost); edges examined = edge cost.
 """
 import numpy as np
-
-from repro.graphs.csr import gather_edges
 
 _END = np.iinfo(np.int64).max  # sentinel closing the visited array
 # Coins drawn and tested per block (512 KiB of draws): a block is tested
@@ -58,26 +57,29 @@ def expand(
     key: np.ndarray,
     n: int,
     rng: np.random.Generator | None = None,
-    layer: np.ndarray | None = None,
     p_row: np.ndarray | float | None = None,
     blocked: np.ndarray | None = None,
 ) -> tuple[np.ndarray, int]:
     """BFS from the keys ``key`` (b·n + v; any order, duplicates allowed).
 
-    Copy b reads v's edges from ``indptr`` row v, or row ``layer[b]·n + v``
-    for stacked live graphs; ``nbr`` holds copy-local vertex ids. With
-    ``p``, edge e survives a coin with probability ``p[e]``; coins are drawn
-    per level in sorted-frontier order, then adjacency order. Returns the
-    sorted visited keys and the number of edges examined.
+    Copy b reads v's edges from ``indptr`` row v; ``nbr`` holds vertex ids
+    (0 ≤ id < n). With ``p``, edge e survives a coin with probability
+    ``p[e]``; coins are drawn per level in sorted-frontier order, then
+    adjacency order. Returns the sorted visited keys and the number of
+    edges examined.
 
-    ``p_row[r]``, when given, is the probability every edge of row r
-    shares (``CSRGraph.out_p_row`` / ``in_p_row``); a ``float`` ``p_row``
-    is the p every edge shares. The level then tests the same draws, block
-    by block, against that p, or against the frontier rows' p repeated
-    over their edges, and locates only the surviving edges, by binary
-    search over the rows' running edge ends; no per-edge index or ``p``
-    gather is built. Without it (rows of varying p, live layers without
-    coins) a level gathers all its edges with :func:`gather_edges`.
+    Every level reads its frontier rows' edge counts once; only the coins
+    differ:
+
+    * no ``p`` (live graphs): no coins, every edge survives;
+    * no ``p_row``: ``p[e]``, gathered for every edge of the level;
+    * a ``float`` ``p_row``: the p every edge shares;
+    * ``p_row[r]``: the p every edge of row r shares
+      (``CSRGraph.out_p_row`` / ``in_p_row``), repeated over the row.
+
+    The first two index every edge of the level, repeating each row over
+    its edges; the last two locate only the surviving edges, by binary
+    search over the rows' running edge ends.
 
     ``blocked``, a ``bool`` mask over the rows, counts as already visited:
     a new key whose row is blocked is dropped, so it is neither returned
@@ -88,40 +90,36 @@ def expand(
     seen = np.append(frontier, _END)
     edges = 0
     while len(frontier):
-        b, v = np.divmod(frontier, n)
-        row = v if layer is None else layer[b] * n + v
+        v = frontier % n
+        hi = indptr[v + 1]
+        cnt = hi - indptr[v]
+        ends = cnt.cumsum()
+        n_edges = int(ends[-1])
+        edges += n_edges
+        if not n_edges:
+            break
+        # The level's edge pos, held by frontier row owner, is CSR edge
+        # pos + shift[owner].
+        shift = hi - ends
         if p_row is None:
-            eidx, owner = gather_edges(indptr, row)
-            edges += len(eidx)
-            if not len(eidx):
-                break
+            owner = np.arange(len(frontier)).repeat(cnt)
+            pos = np.arange(n_edges)
             if p is not None:
-                hit = draw_hits(rng, len(eidx), p[eidx])
-                eidx, owner = eidx[hit], owner[hit]
+                pos = draw_hits(rng, n_edges, p[pos + shift[owner]])
+                owner = owner[pos]
         else:
-            hi = indptr[row + 1]
-            cnt = hi - indptr[row]
-            ends = cnt.cumsum()
-            n_edges = int(ends[-1])
-            edges += n_edges
-            if not n_edges:
-                break
             coin = (p_row if isinstance(p_row, float)
-                    else p_row[row].repeat(cnt))
+                    else p_row[v].repeat(cnt))
             pos = draw_hits(rng, n_edges, coin)
             owner = ends.searchsorted(pos, side="right")
-            # Edge pos of the level is row owner's edge hi − (ends − pos).
-            eidx = pos + (hi - ends)[owner]
-        tkey = (frontier - v)[owner] + nbr[eidx]
+        tkey = (frontier - v)[owner] + nbr[pos + shift[owner]]
         tkey.sort()
         # New keys: not visited yet, first of each run of duplicates.
         fresh = seen[np.searchsorted(seen, tkey)] != tkey
         fresh[1:] &= tkey[1:] != tkey[:-1]
         frontier = tkey[fresh]
         if blocked is not None:
-            b, v = np.divmod(frontier, n)
-            row = v if layer is None else layer[b] * n + v
-            frontier = frontier[~blocked[row]]
+            frontier = frontier[~blocked[frontier % n]]
         # Timsort merges the two sorted runs in linear time.
         seen = np.concatenate((seen, frontier))
         seen.sort(kind="stable")

@@ -1,13 +1,13 @@
-"""Live-edge graph sampling and batched reachability (the Snapshot primitive).
+"""Live-edge sampling and batched reachability (the Snapshot primitive).
 
 Snapshot's Build, :func:`sample_live_set`, draws τ random graphs G ~ 𝒢,
-each by keeping every edge e with probability p(e), and packs them as
-layers of one big CSR: layer i's vertex v is row i·n + v, and destinations
-stay layer-local. Each layer draws its m coins in edge order
-(:func:`repro.ic.draw_hits`) and keeps the indices of its live edges; the
-live edges of all layers, stacked layer by layer, are then already sorted
-by row, so one ``bincount`` lays out ``indptr``. Reachability queries
-against many (graph, seed-set) pairs run as a single
+each by keeping every edge e with probability p(e), and packs them as one
+graph on τ·n vertices: vertex v of live graph i is row i·n + v, and its
+live edges lead to rows of the same graph i. Each live graph draws its m
+coins in edge order (:func:`repro.ic.draw_hits`) and keeps the indices of
+its live edges; the live edges of all τ graphs, stacked graph by graph, are
+then already sorted by row, so one ``bincount`` lays out ``indptr``.
+Reachability queries against many (graph, seed-set) pairs run as a single
 :func:`repro.ic.expand` BFS without coins.
 
 Cost accounting per the paper: *Estimate* scans each reachable vertex once
@@ -25,12 +25,12 @@ from repro.ic import draw_hits, expand
 
 @dataclass(frozen=True)
 class LiveGraphSet:
-    """τ live graphs stacked as layers of one CSR (row = layer·n + v)."""
+    """τ live graphs as one CSR on τ·n rows (row i·n + v)."""
 
     n: int
     tau: int
     indptr: np.ndarray  # int64[τ·n + 1]
-    dst: np.ndarray  # int64[τ·m̃] — destinations, layer-local ids
+    dst: np.ndarray  # int64[τ·m̃] — destination rows i·n + w
 
     @property
     def total_live_edges(self) -> int:
@@ -40,13 +40,15 @@ class LiveGraphSet:
 def sample_live_set(
     graph: CSRGraph, tau: int, rng: np.random.Generator
 ) -> LiveGraphSet:
-    """Snapshot Build: sample τ live graphs into one layered structure."""
+    """Snapshot Build: sample τ live graphs into one graph on τ·n rows."""
     n = graph.n
     live = [draw_hits(rng, graph.m, graph.out_p) for _ in range(tau)]
+    offset = np.repeat(np.arange(tau) * n, [len(e) for e in live])
+    edge = np.concatenate(live)
     src = np.repeat(np.arange(n), graph.out_degree())
-    row = np.concatenate([src[e] + i * n for i, e in enumerate(live)])
     return LiveGraphSet(
-        n, tau, row_indptr(row, tau * n), graph.out_dst[np.concatenate(live)]
+        n, tau, row_indptr(src[edge] + offset, tau * n),
+        graph.out_dst[edge] + offset,
     )
 
 
@@ -55,26 +57,26 @@ class ReachBatchResult:
     reached: np.ndarray  # int64[B] — r_G(seed set) per batch entry
     vertex_cost: int
     edge_cost: int
-    keys: np.ndarray  # int64 — sorted reached keys b·n + v
+    keys: np.ndarray  # int64 — sorted reached keys b·τ·n + row
 
 
 def reach_batch(
     live: LiveGraphSet,
-    layer_of_batch: np.ndarray,
     seed_b: np.ndarray,
-    seed_v: np.ndarray,
+    seed_row: np.ndarray,
     n_batches: int,
     blocked: np.ndarray | None = None,
 ) -> ReachBatchResult:
-    """Batched reachability: batch entry b computes r over layer
-    ``layer_of_batch[b]`` from seeds ``seed_v[seed_b == b]`` (layer-local
-    vertex ids). Deterministic — no coins; the randomness lives in Build.
-    ``blocked`` (``bool[τ·n]`` over the live rows) counts as already
-    visited; see :func:`repro.ic.expand`."""
-    n = live.n
+    """Batched reachability: batch entry b computes r from the rows
+    ``seed_row[seed_b == b]`` (row i·n + v is vertex v of live graph i).
+    Deterministic — no coins; the randomness lives in Build. ``blocked``
+    (``bool[τ·n]`` over the rows) counts as already visited; see
+    :func:`repro.ic.expand`."""
+    rows = live.tau * live.n
     reached, edge_cost = expand(
-        live.indptr, live.dst, None, seed_b.astype(np.int64) * n + seed_v,
-        n, layer=layer_of_batch.astype(np.int64), blocked=blocked,
+        live.indptr, live.dst, None, seed_b.astype(np.int64) * rows + seed_row,
+        rows, blocked=blocked,
     )
-    counts = np.bincount(reached // n, minlength=n_batches).astype(np.int64)
-    return ReachBatchResult(counts, len(reached), edge_cost, reached)
+    counts = np.bincount(reached // rows, minlength=n_batches)
+    return ReachBatchResult(counts.astype(np.int64), len(reached), edge_cost,
+                            reached)

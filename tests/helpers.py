@@ -125,16 +125,17 @@ def ref_rr_set(graph: CSRGraph, target: int, rng) -> set[int]:
 
 
 def ref_live_layers(graph: CSRGraph, tau: int, rng):
-    """Reference Snapshot Build, one live graph at a time: each layer's CSR
+    """Reference Snapshot Build, one live graph at a time: graph i's CSR
     from a running count of its live-edge mask, offset by the live edges of
-    the layers before it. Returns the stacked ``(indptr, dst)``."""
+    the graphs before it, and its destinations shifted to rows i·n + w.
+    Returns the stacked ``(indptr, dst)``."""
     indptrs = [np.zeros(1, dtype=np.int64)]
     dsts = []
     base = 0
-    for _ in range(tau):
+    for i in range(tau):
         mask = rng.random(graph.m) < graph.out_p
         csum = np.concatenate([[0], np.cumsum(mask)]).astype(np.int64)
         indptrs.append(csum[graph.out_indptr][1:] + base)
-        dsts.append(graph.out_dst[mask])
+        dsts.append(graph.out_dst[mask] + i * graph.n)
         base += len(dsts[-1])
     return np.concatenate(indptrs), np.concatenate(dsts)

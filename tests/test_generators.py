@@ -73,22 +73,26 @@ class TestDirectedScaleFree:
         assert not pdf.duplicated().any()
 
 
+CLIQUES = {"clique_alpha": 2.1, "max_clique": 40}  # as GrQc_syn
+
+
 class TestCommunityCollab:
     def test_symmetric(self):
-        pdf = generators.community_collab(300, seed=7)
+        pdf = generators.community_collab(300, **CLIQUES, seed=7)
         arcs = set(zip(pdf["src"], pdf["dst"]))
         assert all((v, u) in arcs for u, v in arcs)
 
     def test_connected(self):
         from tests.helpers import ref_reachable
 
-        g = from_pandas(generators.community_collab(300, seed=7).assign(p=1.0))
+        pdf = generators.community_collab(300, **CLIQUES, seed=7)
+        g = from_pandas(pdf.assign(p=1.0))
         reach = ref_reachable(g, np.arange(g.m), [0])
         assert len(reach) == g.n
 
     def test_high_clustering_core(self):
-        # Cliques of mean size ~4 must produce many triangles: count them.
-        pdf = generators.community_collab(400, seed=8)
+        # Power-law cliques must produce many triangles: count them.
+        pdf = generators.community_collab(400, **CLIQUES, seed=8)
         und = {frozenset(e) for e in zip(pdf["src"], pdf["dst"])}
         adj: dict[int, set[int]] = {}
         for e in und:
@@ -102,7 +106,7 @@ class TestCommunityCollab:
 
     def test_whiskers_present(self):
         pdf = generators.community_collab(
-            400, whisker_frac=0.4, seed=9
+            400, **CLIQUES, whisker_frac=0.4, seed=9
         )
         g = from_pandas(pdf.assign(p=1.0))
         deg = g.out_degree()

@@ -7,9 +7,9 @@ one kernel call on such a sparse instance, and, on a hub whose 200k edges
 share p = 0.01, the bytes per examined edge of a coin level: failed coins
 need no per-edge index arrays. Snapshot's Estimate at |S| > 0 holds
 R_i(S) once, as a mask over the live rows, rather than in every
-candidate's traversal. Snapshot's Build draws its τ·m coins one layer at a
-time, so its peak follows the τ·n rows and τ·m̃ live edges it returns, not
-a (τ, m) block of draws.
+candidate's traversal. Snapshot's Build draws its τ·m coins one live graph
+at a time, so its peak follows the τ·n rows and τ·m̃ live edges it returns,
+not a (τ, m) block of draws.
 """
 import tracemalloc
 
@@ -63,13 +63,12 @@ def test_rr_batch_peak_memory(sparse_graph):
 def test_reach_batch_peak_memory(sparse_graph):
     rng = np.random.default_rng(33)
     live = sample_live_set(sparse_graph, 4, rng)
-    layer = np.arange(BATCH) % 4
-    seeds = rng.integers(0, N, BATCH)
+    rows = np.arange(BATCH) % 4 * N + rng.integers(0, N, BATCH)
     res = None
 
     def run():
         nonlocal res
-        res = reach_batch(live, layer, np.arange(BATCH), seeds, BATCH)
+        res = reach_batch(live, np.arange(BATCH), rows, BATCH)
 
     assert _peak_bytes(run) < LIMIT
     assert res.reached.min() >= 1 and len(res.reached) == BATCH

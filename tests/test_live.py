@@ -1,4 +1,5 @@
-"""Live-edge sampling + layered reachability (Snapshot primitives)."""
+"""Live-edge sampling + reachability over the τ stacked live graphs
+(Snapshot primitives)."""
 import numpy as np
 import pandas as pd
 import pytest
@@ -93,10 +94,7 @@ class TestReachBatch:
         # Query r(v) for every vertex on every layer; compare with a
         # reference BFS over the same live edges.
         B = g.n * tau
-        layer = np.repeat(np.arange(tau), g.n)
-        seed_b = np.arange(B, dtype=np.int64)
-        seed_v = np.tile(np.arange(g.n), tau)
-        res = reach_batch(ls, layer, seed_b, seed_v, B)
+        res = reach_batch(ls, np.arange(B), np.arange(B), B)
         for i in range(tau):
             # Rebuild layer i's live edge indices against the base graph.
             live_pairs = set()
@@ -116,13 +114,7 @@ class TestReachBatch:
     def test_cost_identities_p1(self):
         g = path_graph(4, p=1.0)
         ls = sample_live_set(g, 1, np.random.default_rng(0))
-        res = reach_batch(
-            ls,
-            np.zeros(4, np.int64),
-            np.arange(4, dtype=np.int64),
-            np.arange(4, dtype=np.int64),
-            4,
-        )
+        res = reach_batch(ls, np.arange(4), np.arange(4), 4)
         # Reach sizes 4,3,2,1; vertex cost = Σ reach = 10; edge cost = Σ
         # out-degrees of reached vertices = 3+2+1+0... per source: 3,2,1,0.
         assert list(res.reached) == [4, 3, 2, 1]
@@ -132,13 +124,7 @@ class TestReachBatch:
     def test_multi_seed_union(self):
         g = graph_from_edges([(0, 1, 1.0), (2, 3, 1.0)], n=4)
         ls = sample_live_set(g, 1, np.random.default_rng(0))
-        res = reach_batch(
-            ls,
-            np.zeros(1, np.int64),
-            np.zeros(2, np.int64),
-            np.array([0, 2], dtype=np.int64),
-            1,
-        )
+        res = reach_batch(ls, np.zeros(2, np.int64), np.array([0, 2]), 1)
         assert res.reached[0] == 4
 
 
@@ -149,40 +135,39 @@ class TestBlocked:
         ls = sample_live_set(path_graph(3, p=1.0), 1, np.random.default_rng(0))
         blocked = np.array([False, True, False])
         keys, edges = expand(ls.indptr, ls.dst, None, np.array([0]), 3,
-                             layer=np.zeros(1, np.int64), blocked=blocked)
+                             blocked=blocked)
         assert list(keys) == [0] and edges == 1
 
     @pytest.mark.parametrize("seed", range(5))
     def test_matches_reference_bfs(self, seed):
-        # Random blocked rows on stacked layers, batch entries mapped to
-        # layers out of order: no blocked row is ever returned, blocked rows
-        # are never expanded, and every returned row's live edges count.
+        # Random blocked rows on the stacked live graphs, batch entries
+        # started in graphs out of order: no blocked row is ever returned,
+        # blocked rows are never expanded, and every returned row's live
+        # edges count. Keys are b·τn + row, row = i·n + v.
         rng = np.random.default_rng(seed)
         g = random_tiny_graph(rng, n=9, m=24)
         tau, B = 4, 12
+        rows = tau * g.n
         ls = sample_live_set(g, tau, rng)
-        blocked = rng.random(tau * g.n) < 0.3
-        layer = rng.integers(0, tau, B)
-        start = rng.integers(0, g.n, B)
+        blocked = rng.random(rows) < 0.3
+        start = rng.integers(0, tau, B) * g.n + rng.integers(0, g.n, B)
         keys, edges = expand(
-            ls.indptr, ls.dst, None, np.arange(B) * g.n + start, g.n,
-            layer=layer, blocked=blocked,
+            ls.indptr, ls.dst, None, np.arange(B) * rows + start, rows,
+            blocked=blocked,
         )
         expect, expect_edges = set(), 0
         for b in range(B):
-            base = layer[b] * g.n
             seen, stack = {int(start[b])}, [int(start[b])]
             while stack:
                 u = stack.pop()
-                nbrs = ls.dst[ls.indptr[base + u] : ls.indptr[base + u + 1]]
+                nbrs = ls.dst[ls.indptr[u] : ls.indptr[u + 1]]
                 expect_edges += len(nbrs)
                 for w in nbrs:
-                    if int(w) not in seen and not blocked[base + w]:
+                    if int(w) not in seen and not blocked[w]:
                         seen.add(int(w))
                         stack.append(int(w))
-            expect |= {b * g.n + v for v in seen}
+            expect |= {b * rows + r for r in seen}
         assert list(keys) == sorted(expect)
         assert edges == expect_edges
-        b, v = np.divmod(keys, g.n)
-        unblocked = ~np.isin(keys, np.arange(B) * g.n + start)
-        assert not blocked[layer[b] * g.n + v][unblocked].any()
+        unblocked = ~np.isin(keys, np.arange(B) * rows + start)
+        assert not blocked[keys % rows][unblocked].any()

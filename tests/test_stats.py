@@ -97,11 +97,6 @@ def test_average_distance_karate(karate_df):
     assert average_distance(g) == pytest.approx(2.41, abs=0.02)
 
 
-def test_average_distance_skips_large():
-    g = path_graph(3)
-    assert average_distance(g, max_n=2) is None
-
-
 def test_table3_row_karate(karate_df):
     g = from_pandas(karate_df)
     row = table3_row(g, with_distance=True)
