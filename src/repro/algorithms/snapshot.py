@@ -17,24 +17,89 @@ computed charge is n·Σ_i a_i vertices and n·Σ_i e_i edges: the base scan's
 counters n more times. The pruning is PMC's BFS over already-reached sets
 (Ohsaka et al., AAAI 2014).
 
+Build, :func:`sample_live_set`, packs the τ live graphs as one graph on
+τ·n vertices: vertex v of live graph i is row i·n + v, and its live edges
+lead to rows of the same graph i. Each live graph draws its m coins in
+edge order (:func:`repro.ic.draw_hits`) and keeps the indices of its live
+edges; the live edges of all τ graphs, stacked graph by graph, are then
+already sorted by row, so one ``bincount`` lays out ``indptr``. Estimate's
+reachability queries against many (graph, seed-set) pairs run as one
+:func:`repro.ic.expand` BFS without coins, :func:`reach_batch`. Estimate
+examines only **live** out-edges, which is why Snapshot's edge cost is
+≈ m̃/m of Oneshot's; Build's coin flips (τ·m) are not charged to
+Estimate, as in Table 8.
+
 Because the τ graphs are fixed, this estimator is monotone and submodular
 (§3.4.1) — property-tested in tests/test_snapshot.py.
 
 Sample size = total number of live edges stored (≈ τ·m̃ in expectation).
 """
+from dataclasses import dataclass
+
 import numpy as np
 
-from repro.graphs.csr import CSRGraph
-from repro.ic.live import reach_batch, sample_live_set
+from repro.graphs.csr import CSRGraph, row_indptr
+from repro.ic import batches, draw_hits, expand
+
+
+@dataclass(frozen=True)
+class LiveGraphSet:
+    """τ live graphs as one CSR on τ·n rows (row i·n + v)."""
+
+    n: int
+    tau: int
+    indptr: np.ndarray  # int64[τ·n + 1]
+    dst: np.ndarray  # int64[τ·m̃] — destination rows i·n + w
+
+
+def sample_live_set(
+    graph: CSRGraph, tau: int, rng: np.random.Generator
+) -> LiveGraphSet:
+    """Snapshot Build: sample τ live graphs into one graph on τ·n rows."""
+    n = graph.n
+    live = [draw_hits(rng, graph.m, graph.out_p) for _ in range(tau)]
+    offset = np.repeat(np.arange(tau) * n, [len(e) for e in live])
+    edge = np.concatenate(live)
+    src = np.repeat(np.arange(n), graph.out_degree())
+    return LiveGraphSet(
+        n, tau, row_indptr(src[edge] + offset, tau * n),
+        graph.out_dst[edge] + offset,
+    )
+
+
+@dataclass
+class ReachBatchResult:
+    reached: np.ndarray  # int64[B] — r_G(seed set) per batch entry
+    vertex_cost: int
+    edge_cost: int
+    keys: np.ndarray  # int64 — sorted reached keys b·τ·n + row
+
+
+def reach_batch(
+    live: LiveGraphSet,
+    seed_b: np.ndarray,
+    seed_row: np.ndarray,
+    n_batches: int,
+    blocked: np.ndarray | None = None,
+) -> ReachBatchResult:
+    """Batched reachability: batch entry b computes r from the rows
+    ``seed_row[seed_b == b]`` (row i·n + v is vertex v of live graph i).
+    Deterministic — no coins; the randomness lives in Build. ``blocked``
+    (``bool[τ·n]`` over the rows) counts as already visited; see
+    :func:`repro.ic.expand`."""
+    rows = live.tau * live.n
+    reached, edge_cost = expand(
+        live.indptr, live.dst, None, seed_b.astype(np.int64) * rows + seed_row,
+        rows, blocked=blocked,
+    )
+    counts = np.bincount(reached // rows, minlength=n_batches)
+    return ReachBatchResult(counts.astype(np.int64), len(reached), edge_cost,
+                            reached)
 
 
 class SnapshotEstimator:
     def __init__(
-        self,
-        graph: CSRGraph,
-        tau: int,
-        rng: np.random.Generator,
-        max_batch_cells: int = 50_000_000,
+        self, graph: CSRGraph, tau: int, rng: np.random.Generator
     ) -> None:
         if tau < 1:
             raise ValueError("tau must be >= 1")
@@ -43,14 +108,13 @@ class SnapshotEstimator:
         self.live = sample_live_set(graph, tau, rng)
         self.vertex_cost = 0
         self.edge_cost = 0
-        self.sample_size = int(self.live.total_live_edges)
-        self.max_batch_cells = max_batch_cells
+        self.sample_size = len(self.live.dst)
 
     def _marginals(self, current: np.ndarray) -> np.ndarray:
         """r_{G(i)}(S + v) − r_{G(i)}(S) per candidate v and live graph i,
-        an (n, τ) matrix. ``max_batch_cells // n`` walked pairs (v, i),
-        live row i·n + v, share one ``reach_batch`` call: a batch boundary,
-        not a memory budget, and it may split a candidate's graphs."""
+        an (n, τ) matrix. The walked pairs (v, i), live row i·n + v, run in
+        :func:`repro.ic.batches`, one ``reach_batch`` call each; a batch
+        may split a candidate's graphs."""
         n, tau = self.graph.n, self.tau
         blocked = np.zeros(tau * n, dtype=bool)  # live row i·n + v ∈ R_i(S)
         if len(current):
@@ -63,11 +127,10 @@ class SnapshotEstimator:
             self.edge_cost += (n + 1) * res.edge_cost
         marg = np.zeros(tau * n, dtype=np.int64)
         walk = np.flatnonzero(~blocked)
-        per_chunk = max(1, self.max_batch_cells // max(1, n))
         # With S empty nothing is blocked: skip the kernel's per-level test.
         mask = blocked if len(current) else None
-        for lo in range(0, len(walk), per_chunk):
-            row = walk[lo : lo + per_chunk]
+        for lo, hi in batches(len(walk), n):
+            row = walk[lo:hi]
             B = len(row)
             res = reach_batch(self.live, np.arange(B), row, B, blocked=mask)
             marg[row] = res.reached

@@ -2,13 +2,11 @@
 
 One frontier-expansion BFS, :func:`expand`, runs B traversals at once over
 the disjoint union of B copies of a graph (vertex key = b·n + v). The
-primitives wrap it:
-
-* :mod:`repro.ic.forward` — forward Monte-Carlo diffusion (Oneshot).
-* :mod:`repro.ic.live` — live-edge sampling + reachability (Snapshot).
-* :mod:`repro.ic.rr` — reverse-reachable set generation (RIS).
-* :mod:`repro.ic.exact` — exact influence by live-graph enumeration (tiny
-  graphs; test oracle).
+three sampling primitives call it: forward Monte-Carlo diffusion lives with
+Oneshot (:mod:`repro.algorithms.oneshot`), live-edge sampling and
+reachability with Snapshot (:mod:`repro.algorithms.snapshot`), and
+reverse-reachable sets, which RIS and the shared oracle both hold, in
+:mod:`repro.ic.rr`. All three run their traversals in :func:`batches`.
 
 Coins are drawn per examined edge, as in the paper's naive simulations;
 :func:`draw_hits` draws and tests every coin, in cache-sized blocks. Where
@@ -29,6 +27,19 @@ _END = np.iinfo(np.int64).max  # sentinel closing the visited array
 # Coins drawn and tested per block (512 KiB of draws): a block is tested
 # while it is still in cache, and n coins never hold 8n bytes of draws.
 _BLOCK = 1 << 16
+# Cells (traversals × n) per batch. A batch holds every key it visits at
+# once, up to one per cell, so this bounds a batch's visited set; and the
+# batch boundaries fix the order of the coins, so a new value changes
+# every sampled output.
+BATCH_CELLS = 50_000_000
+
+
+def batches(total: int, n: int):
+    """``(lo, hi)`` ranges over ``total`` traversals of an n-vertex graph,
+    ``BATCH_CELLS // n`` traversals each (at least one)."""
+    size = max(1, BATCH_CELLS // max(1, n))
+    for lo in range(0, total, size):
+        yield lo, min(total, lo + size)
 
 
 def draw_hits(

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.graphs.csr import CSRGraph, group_rows
-from repro.ic import expand
+from repro.ic import batches, expand
 
 
 @dataclass(frozen=True)
@@ -87,22 +87,15 @@ def random_targets(
 
 
 def rr_sets(
-    graph: CSRGraph,
-    theta: int,
-    rng: np.random.Generator,
-    max_batch_cells: int = 50_000_000,
+    graph: CSRGraph, theta: int, rng: np.random.Generator
 ) -> RRSets:
-    """θ RR sets for uniformly random targets, in chunks of
-    ``max_batch_cells // n`` sets. Each chunk draws its targets and then its
-    coins, so the chunk boundaries fix the RNG stream; memory follows the
-    keys visited, not the chunk size."""
+    """θ RR sets for uniformly random targets, in :func:`repro.ic.batches`.
+    Each batch draws its targets and then its coins."""
     check_ids(graph.n, theta)
-    per_chunk = max(1, max_batch_cells // max(1, graph.n))
     rr_id, vertex = [], []
-    for first in range(0, theta, per_chunk):
-        b = min(per_chunk, theta - first)
-        r, v, _ = rr_batch(graph, random_targets(graph.n, b, rng), rng)
-        rr_id.append(r + first)
+    for lo, hi in batches(theta, graph.n):
+        r, v, _ = rr_batch(graph, random_targets(graph.n, hi - lo, rng), rng)
+        rr_id.append(r + lo)
         vertex.append(v)
     return RRSets.group(graph, theta, np.concatenate(rr_id),
                         np.concatenate(vertex))

@@ -4,6 +4,8 @@ The reference implementations here are deliberately naive pure-Python code
 (dict adjacency, per-edge loops) so the vectorized kernels are checked
 against an independently written semantics, not against themselves.
 """
+import itertools
+
 import numpy as np
 import pandas as pd
 
@@ -139,3 +141,49 @@ def ref_live_layers(graph: CSRGraph, tau: int, rng):
         dsts.append(graph.out_dst[mask] + i * graph.n)
         base += len(dsts[-1])
     return np.concatenate(indptrs), np.concatenate(dsts)
+
+
+# Exact influence by live-graph enumeration: Inf(S) = E_{G~𝒢}[r_G(S)] (the
+# random-graph interpretation, §2.2), taken over all 2^m live-edge patterns
+# with their probabilities. The ground truth the sampling kernels and the
+# estimators are checked against, on graphs with few edges.
+MAX_EDGES = 16
+
+
+def _reach(n: int, edges: list[tuple[int, int]], seeds: set[int]) -> int:
+    adj: dict[int, list[int]] = {}
+    for u, v in edges:
+        adj.setdefault(u, []).append(v)
+    seen = set(seeds)
+    stack = list(seeds)
+    while stack:
+        u = stack.pop()
+        for v in adj.get(u, ()):
+            if v not in seen:
+                seen.add(v)
+                stack.append(v)
+    return len(seen)
+
+
+def exact_influence(graph: CSRGraph, seeds) -> float:
+    """Inf(S) by exhaustive enumeration; requires m ≤ ``MAX_EDGES``."""
+    m = graph.m
+    if m > MAX_EDGES:
+        raise ValueError(f"exact enumeration needs m <= {MAX_EDGES}, got {m}")
+    src = np.repeat(np.arange(graph.n), graph.out_degree())
+    all_edges = list(zip(src.tolist(), graph.out_dst.tolist()))
+    probs = graph.out_p
+    seed_set = set(int(s) for s in np.atleast_1d(np.asarray(seeds)))
+    total = 0.0
+    for pattern in itertools.product([0, 1], repeat=m):
+        w = 1.0
+        for keep, p in zip(pattern, probs):
+            w *= p if keep else (1.0 - p)
+        live = [e for e, keep in zip(all_edges, pattern) if keep]
+        total += w * _reach(graph.n, live, seed_set)
+    return total
+
+
+def exact_singleton_influences(graph: CSRGraph) -> np.ndarray:
+    """Inf({v}) for every vertex v (exhaustive; tiny graphs only)."""
+    return np.array([exact_influence(graph, [v]) for v in range(graph.n)])

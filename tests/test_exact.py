@@ -2,8 +2,10 @@
 import numpy as np
 import pytest
 
-from repro.ic.exact import exact_influence, exact_singleton_influences
-from tests.helpers import graph_from_edges, path_graph, star_graph
+from tests.helpers import (
+    exact_influence, exact_singleton_influences, graph_from_edges, path_graph,
+    star_graph,
+)
 
 
 def test_single_vertex_no_edges():

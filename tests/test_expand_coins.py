@@ -12,10 +12,10 @@ import numpy as np
 import pandas as pd
 import pytest
 
+from repro.algorithms.oneshot import simulate_batch
 from repro.graphs import assign_probabilities, from_pandas
 from repro.graphs.probability import SETTINGS
 from repro.ic import draw_hits, expand
-from repro.ic.forward import simulate_batch
 from repro.ic.rr import rr_batch
 
 N = 400

@@ -1,10 +1,13 @@
 """Forward IC simulation kernel: exact cases, unbiasedness, cost identities."""
+from unittest.mock import patch
+
 import numpy as np
 import pytest
 
-from repro.ic.exact import exact_influence
-from repro.ic.forward import simulate_batch, simulate_single_seeds
+import repro.ic
+from repro.algorithms.oneshot import simulate_batch, simulate_single_seeds
 from tests.helpers import (
+    exact_influence,
     graph_from_edges,
     path_graph,
     random_tiny_graph,
@@ -134,10 +137,10 @@ class TestSingleSeedScan:
         a = simulate_single_seeds(
             g, np.arange(6, dtype=np.int64), 4, np.random.default_rng(1)
         )
-        b = simulate_single_seeds(
-            g, np.arange(6, dtype=np.int64), 4, np.random.default_rng(1),
-            max_batch_cells=7,  # forces many chunks
-        )
+        with patch.object(repro.ic, "BATCH_CELLS", 7):  # many batches
+            b = simulate_single_seeds(
+                g, np.arange(6, dtype=np.int64), 4, np.random.default_rng(1)
+            )
         assert list(a.activated) == list(b.activated)
         assert a.vertex_cost == b.vertex_cost
         assert a.edge_cost == b.edge_cost

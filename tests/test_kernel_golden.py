@@ -4,18 +4,20 @@ The traversal counters are results in their own right (Table 8), so a
 kernel rewrite must reproduce them — and the sampled outputs — bit for bit
 under the same seeds. Each case pins ``vertex_cost``, ``edge_cost`` and an
 int64 digest of the output arrays; any change to the RNG draw order, the
-chunk boundaries or the visited-set semantics shows up here.
+batch boundaries or the visited-set semantics shows up here.
 """
 import hashlib
+from unittest.mock import patch
 
 import numpy as np
 import pytest
 
+import repro.ic
+from repro.algorithms.oneshot import simulate_single_seeds
 from repro.algorithms.snapshot import SnapshotEstimator
 from repro.experiments.rr_oracle import build_oracle_local
 from repro.graphs import assign_probabilities, generators
 from repro.graphs.csr import CSRGraph, from_pandas
-from repro.ic.forward import simulate_single_seeds
 from repro.ic.rr import rr_sets
 from tests.helpers import rr_membership, rr_sizes_weights
 
@@ -72,19 +74,20 @@ GOLDEN = {
 
 
 def _forward(g):
-    res = simulate_single_seeds(
-        g, np.arange(g.n, dtype=np.int64), 3, np.random.default_rng(11),
-        base_seeds=np.array([5, 0, 5], dtype=np.int64),
-        max_batch_cells=400_000,  # 400 simulations per chunk: 8 chunks
-    )
+    # 400 simulations per batch: 8 batches.
+    with patch.object(repro.ic, "BATCH_CELLS", 400_000):
+        res = simulate_single_seeds(
+            g, np.arange(g.n, dtype=np.int64), 3, np.random.default_rng(11),
+            base_seeds=np.array([5, 0, 5], dtype=np.int64),
+        )
     return res.vertex_cost, res.edge_cost, _digest(res.activated)
 
 
 def _snapshot(g):
-    est = SnapshotEstimator(g, 6, np.random.default_rng(12),
-                            max_batch_cells=700_000)
-    empty = est.estimate_all(np.empty(0, dtype=np.int64))
-    pair = est.estimate_all(np.array([17, 3], dtype=np.int64))
+    est = SnapshotEstimator(g, 6, np.random.default_rng(12))
+    with patch.object(repro.ic, "BATCH_CELLS", 700_000):
+        empty = est.estimate_all(np.empty(0, dtype=np.int64))
+        pair = est.estimate_all(np.array([17, 3], dtype=np.int64))
     return est.vertex_cost, est.edge_cost, _digest(
         empty, pair, est.sample_size
     )
@@ -93,18 +96,18 @@ def _snapshot(g):
 def _snapshot_s4(g):
     # Greedy's own seeds up to |S| = 4 (first max), so R_i(S) holds the
     # hubs' reach and most (candidate, layer) pairs start inside it.
-    est = SnapshotEstimator(g, 6, np.random.default_rng(15),
-                            max_batch_cells=700_000)
+    est = SnapshotEstimator(g, 6, np.random.default_rng(15))
     seeds, vals = [], []
-    for _ in range(5):
-        vals.append(est.estimate_all(np.array(seeds, dtype=np.int64)))
-        seeds.append(int(vals[-1].argmax()))
+    with patch.object(repro.ic, "BATCH_CELLS", 700_000):
+        for _ in range(5):
+            vals.append(est.estimate_all(np.array(seeds, dtype=np.int64)))
+            seeds.append(int(vals[-1].argmax()))
     return est.vertex_cost, est.edge_cost, _digest(*vals, seeds)
 
 
 def _rr(g):
-    res = rr_sets(g, 3000, np.random.default_rng(13),
-                  max_batch_cells=1_000_000)  # 1000 RR sets per chunk
+    with patch.object(repro.ic, "BATCH_CELLS", 1_000_000):  # 1000 per batch
+        res = rr_sets(g, 3000, np.random.default_rng(13))
     rr_id, vertex = rr_membership(res)
     return res.vertex_cost, res.edge_cost, _digest(
         rr_id, vertex, *rr_sizes_weights(g, rr_id, vertex, 3000)

@@ -17,11 +17,12 @@ import numpy as np
 import pandas as pd
 import pytest
 
-from repro.algorithms.snapshot import SnapshotEstimator
+from repro.algorithms.oneshot import simulate_batch
+from repro.algorithms.snapshot import (
+    SnapshotEstimator, reach_batch, sample_live_set,
+)
 from repro.graphs import generators
 from repro.graphs.csr import from_pandas
-from repro.ic.forward import simulate_batch
-from repro.ic.live import reach_batch, sample_live_set
 from repro.ic.rr import random_targets, rr_batch
 
 N = 50_000

@@ -4,9 +4,9 @@ import numpy as np
 import pandas as pd
 import pytest
 
+from repro.algorithms.snapshot import reach_batch, sample_live_set
 from repro.graphs import assign_probabilities, from_pandas
 from repro.ic import expand
-from repro.ic.live import reach_batch, sample_live_set
 from tests.helpers import (
     graph_from_edges,
     path_graph,
@@ -20,14 +20,14 @@ class TestSampleLive:
     def test_p1_keeps_all(self):
         g = path_graph(5, p=1.0)
         live = sample_live_set(g, 1, np.random.default_rng(0))
-        assert live.total_live_edges == 4
+        assert len(live.dst) == 4
         assert list(live.indptr) == list(g.out_indptr)
 
     def test_edge_keep_rate(self):
         g = graph_from_edges([(0, 1, 0.3)] * 1, n=2)
         rng = np.random.default_rng(0)
         kept = sum(
-            sample_live_set(g, 1, rng).total_live_edges for _ in range(5000)
+            len(sample_live_set(g, 1, rng).dst) for _ in range(5000)
         )
         assert kept / 5000 == pytest.approx(0.3, abs=0.03)
 
@@ -75,13 +75,13 @@ class TestLiveGraphSet:
         g = graph_from_edges([(0, 1, 0.5)], n=2)
         ls = sample_live_set(g, 400, np.random.default_rng(0))
         per_layer = _layer_live_edges(ls)
-        assert per_layer.sum() == ls.total_live_edges
+        assert per_layer.sum() == len(ls.dst)
         assert 0.4 < per_layer.mean() < 0.6  # ~Bernoulli(0.5) per layer
 
     def test_p1_layer_structure(self):
         g = path_graph(3, p=1.0)
         ls = sample_live_set(g, 3, np.random.default_rng(0))
-        assert ls.total_live_edges == 6
+        assert len(ls.dst) == 6
         assert list(_layer_live_edges(ls)) == [2, 2, 2]
 
 

@@ -87,3 +87,22 @@ def test_graph_layer_imports_no_pyspark():
             and not m.startswith("repro.graphs.")] == []
     assert "repro.graphs.stats" in graphs
     assert spark is False
+
+
+def test_every_module_serves_the_jobs():
+    # No library code that only tests call: importing the tables, which
+    # jobs/cli.py drives, loads every module of the package.
+    import repro
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+    code = (
+        "import sys, json, pkgutil, repro, repro.experiments.tables\n"
+        "mods = [m.name for m in pkgutil.walk_packages(repro.__path__,"
+        " 'repro.')]\n"
+        "print(json.dumps([m for m in mods if m not in sys.modules]))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True,
+        check=True, env={**os.environ, "PYTHONPATH": src},
+    )
+    assert json.loads(out.stdout) == []

@@ -3,8 +3,9 @@ import numpy as np
 import pytest
 
 from repro.algorithms.oneshot import OneshotEstimator
-from repro.ic.exact import exact_singleton_influences
-from tests.helpers import path_graph, random_tiny_graph
+from tests.helpers import (
+    exact_singleton_influences, path_graph, random_tiny_graph,
+)
 
 
 def test_estimates_unbiased():

@@ -48,6 +48,7 @@ def test_kernel_counters_equal_trial_rows(traced_rows, layer, alg):
 def test_every_layer_is_traced(traced_rows):
     tracer, rows = traced_rows
     assert tracer.calls("ic.live") > 0
+    assert tracer.calls("ic.live.sample") == 1
     metrics = tracer.layer_metrics()
     for alg in ALGORITHMS:
         assert tracer.calls(f"algorithms.{alg}.build") == 1

@@ -7,8 +7,9 @@ import pytest
 from repro.algorithms.base import argmax_last, run_greedy
 from repro.algorithms.ris import RISEstimator
 from repro.graphs import assign_probabilities, build_network_pandas, from_pandas
-from repro.ic.exact import exact_singleton_influences
-from tests.helpers import path_graph, random_tiny_graph, rr_membership
+from tests.helpers import (
+    exact_singleton_influences, path_graph, random_tiny_graph, rr_membership,
+)
 
 
 def test_unbiased_singletons():

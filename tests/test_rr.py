@@ -1,16 +1,17 @@
 """Reverse-reachable set generation: correctness, unbiasedness, costs."""
 import tracemalloc
+from unittest.mock import patch
 
 import numpy as np
 import pytest
 
+import repro.ic
 from repro.experiments import rr_oracle
 from repro.graphs import assign_probabilities, build_network_pandas, from_pandas
-from repro.ic.exact import exact_influence
 from repro.ic.rr import random_targets, rr_batch, rr_sets
 from tests.helpers import (
-    graph_from_edges, path_graph, random_tiny_graph, ref_rr_set,
-    rr_membership, rr_sizes_weights,
+    exact_influence, graph_from_edges, path_graph, random_tiny_graph,
+    ref_rr_set, rr_membership, rr_sizes_weights,
 )
 
 
@@ -104,7 +105,8 @@ class TestCosts:
 
     def test_chunked_generation_counts(self):
         g = path_graph(4, p=0.5)
-        res = rr_sets(g, 1000, np.random.default_rng(6), max_batch_cells=64)
+        with patch.object(repro.ic, "BATCH_CELLS", 64):
+            res = rr_sets(g, 1000, np.random.default_rng(6))
         rr_id, vertex = rr_membership(res)
         sizes, weights = rr_sizes_weights(g, rr_id, vertex, 1000)
         assert len(sizes) == 1000

@@ -5,9 +5,10 @@ import pytest
 from repro.experiments.rr_oracle import build_oracle, build_oracle_local
 from repro.graphs import assign_probabilities, build_network_pandas, from_pandas
 from repro.ic.rr import random_targets, rr_batch
-from repro.ic.exact import exact_influence, exact_singleton_influences
 from repro.util import trial_rng
-from tests.helpers import path_graph, random_tiny_graph
+from tests.helpers import (
+    exact_influence, exact_singleton_influences, path_graph, random_tiny_graph,
+)
 
 
 @pytest.fixture(scope="module")

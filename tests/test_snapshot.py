@@ -1,14 +1,16 @@
 """Snapshot estimator (Algorithm 3.3): correctness and submodularity."""
 import dataclasses
+from unittest.mock import patch
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.algorithms.snapshot import SnapshotEstimator
-from repro.ic.exact import exact_singleton_influences
-from repro.ic.live import reach_batch
-from tests.helpers import graph_from_edges, path_graph, random_tiny_graph
+import repro.ic
+from repro.algorithms.snapshot import SnapshotEstimator, reach_batch
+from tests.helpers import (
+    exact_singleton_influences, graph_from_edges, path_graph, random_tiny_graph,
+)
 
 
 def _influence_estimate(est, seed_set):
@@ -99,8 +101,8 @@ def test_chunking_consistency():
     g = path_graph(6, p=1.0)
     rng1, rng2 = np.random.default_rng(6), np.random.default_rng(6)
     a = SnapshotEstimator(g, 7, rng1).estimate_all(np.empty(0, np.int64))
-    small = SnapshotEstimator(g, 7, rng2, max_batch_cells=13)
-    b = small.estimate_all(np.empty(0, np.int64))
+    with patch.object(repro.ic, "BATCH_CELLS", 13):
+        b = SnapshotEstimator(g, 7, rng2).estimate_all(np.empty(0, np.int64))
     assert np.array_equal(a, b)
 
 
@@ -112,7 +114,7 @@ def test_reach_from_matches_per_candidate_reference(seeds):
     rng = np.random.default_rng(21)
     g = random_tiny_graph(rng, n=12, m=30)
     tau = 5
-    est = SnapshotEstimator(g, tau, rng, max_batch_cells=7 * g.n)
+    est = SnapshotEstimator(g, tau, rng)
     S = np.array(seeds, dtype=np.int64)
     layers = np.arange(tau)
     ref_cost = [0, 0]
@@ -130,11 +132,12 @@ def test_reach_from_matches_per_candidate_reference(seeds):
     ref = np.array([ref_reach(np.append(S, v)) for v in range(g.n)])
     base = np.array(ref_reach(S)) if len(S) else np.zeros(tau, np.int64)
 
-    got = est.estimate_all(S)
-    assert np.array_equal(got, (ref - base).mean(axis=1))
-    assert [est.vertex_cost, est.edge_cost] == ref_cost
-    assert (got[S] == 0).all()  # v ∈ S adds nothing
-    assert np.array_equal(est._marginals(S), ref - base[None, :])
+    with patch.object(repro.ic, "BATCH_CELLS", 7 * g.n):
+        got = est.estimate_all(S)
+        assert np.array_equal(got, (ref - base).mean(axis=1))
+        assert [est.vertex_cost, est.edge_cost] == ref_cost
+        assert (got[S] == 0).all()  # v ∈ S adds nothing
+        assert np.array_equal(est._marginals(S), ref - base[None, :])
 
 
 def _full_scan(est, S):
@@ -186,11 +189,12 @@ def _without_layer(live, i):
 def _pruned_vs_full_scan(seed, n, size, tau, chunk):
     rng = np.random.default_rng(seed)
     g = _cyclic_graph(rng, n, extra=n // 2)
-    est = SnapshotEstimator(g, tau, rng, max_batch_cells=chunk * n)
+    est = SnapshotEstimator(g, tau, rng)
     est.live = _without_layer(est.live, int(rng.integers(tau)))
     S = rng.choice(n, size, replace=False).astype(np.int64)
     ref, base, cost = _full_scan(est, S)
-    got = est.estimate_all(S)
+    with patch.object(repro.ic, "BATCH_CELLS", chunk * n):
+        got = est.estimate_all(S)
     assert np.array_equal(got, (ref - base).mean(axis=1))
     assert [est.vertex_cost, est.edge_cost] == cost
     return S, ref, base
