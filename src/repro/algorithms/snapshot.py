@@ -10,12 +10,15 @@ and charged once, and each candidate's scan of R_i(S + v) is charged in
 full, but only R_i(v) \\ R_i(S) is walked. Let a_i = |R_i(S)| and e_i be
 the live out-degree summed over R_i(S). For v ∈ R_i(S) (every v ∈ S
 included) no BFS runs: the marginal is 0 and the charge a_i vertices and
-e_i edges. Otherwise a BFS from v that treats R_i(S) as visited returns
-exactly R_i(v) \\ R_i(S), the marginal, and the charge is a_i and e_i plus
-what that BFS examines. Each candidate meets each live graph once, so the
-computed charge is n·Σ_i a_i vertices and n·Σ_i e_i edges: the base scan's
-counters n more times. The pruning is PMC's BFS over already-reached sets
-(Ohsaka et al., AAAI 2014).
+e_i edges. Otherwise, if row i·n + v has no live out-edge (a sink: on
+UC_0.01 most rows are), no BFS runs either: v reaches itself alone, so the
+marginal is 1 and the charge a_i + 1 vertices and e_i edges, exactly what
+its BFS would return. Every other v walks: a BFS from v that treats R_i(S)
+as visited returns exactly R_i(v) \\ R_i(S), the marginal, and the charge
+is a_i and e_i plus what that BFS examines. Each candidate meets each live
+graph once, so the computed charge is n·Σ_i a_i vertices and n·Σ_i e_i
+edges: the base scan's counters n more times. The pruning is PMC's BFS over
+already-reached sets (Ohsaka et al., AAAI 2014).
 
 Build, :func:`sample_live_set`, packs the τ live graphs as one graph on
 τ·n vertices: vertex v of live graph i is row i·n + v, and its live edges
@@ -112,27 +115,37 @@ class SnapshotEstimator:
 
     def _marginals(self, current: np.ndarray) -> np.ndarray:
         """r_{G(i)}(S + v) − r_{G(i)}(S) per candidate v and live graph i,
-        an (n, τ) matrix. The walked pairs (v, i), live row i·n + v, run in
-        :func:`repro.ic.batches`, one ``reach_batch`` call each; a batch
-        may split a candidate's graphs."""
+        an (n, τ) matrix. Pairs (v, i) with v ∈ R_i(S) get 0 and sinks
+        outside R_i(S), live rows i·n + v without a live out-edge, get 1
+        and are charged 1 vertex and 0 edges, all without a BFS. Only the
+        remaining pairs walk, in :func:`repro.ic.batches`, one
+        ``reach_batch`` call each; a batch may split a candidate's
+        graphs."""
         n, tau = self.graph.n, self.tau
-        blocked = np.zeros(tau * n, dtype=bool)  # live row i·n + v ∈ R_i(S)
+        indptr = self.live.indptr
+        walks = indptr[1:] > indptr[:-1]  # rows with a live out-edge
+        marg = np.ones(tau * n, dtype=np.int64)
+        unreached = tau * n  # rows outside R_i(S)
+        blocked = None  # with S empty nothing is blocked
         if len(current):
             # R_i(S) of every i as one BFS: the live graphs share no row.
             seeds = (np.arange(tau)[:, None] * n + current).ravel()
             res = reach_batch(self.live, np.zeros(len(seeds), np.int64),
                               seeds, 1)
+            blocked = np.zeros(tau * n, dtype=bool)  # row i·n + v ∈ R_i(S)
             blocked[res.keys] = True
+            walks[res.keys] = False
+            marg[res.keys] = 0
+            unreached -= len(res.keys)
             self.vertex_cost += (n + 1) * res.vertex_cost
             self.edge_cost += (n + 1) * res.edge_cost
-        marg = np.zeros(tau * n, dtype=np.int64)
-        walk = np.flatnonzero(~blocked)
-        # With S empty nothing is blocked: skip the kernel's per-level test.
-        mask = blocked if len(current) else None
+        walk = np.flatnonzero(walks)
+        # Every other row outside R_i(S) reaches itself alone: 1 vertex.
+        self.vertex_cost += unreached - len(walk)
         for lo, hi in batches(len(walk), n):
             row = walk[lo:hi]
             B = len(row)
-            res = reach_batch(self.live, np.arange(B), row, B, blocked=mask)
+            res = reach_batch(self.live, np.arange(B), row, B, blocked=blocked)
             marg[row] = res.reached
             self.vertex_cost += res.vertex_cost
             self.edge_cost += res.edge_cost

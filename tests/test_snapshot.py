@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import repro.ic
+from repro.algorithms import snapshot
 from repro.algorithms.snapshot import SnapshotEstimator, reach_batch
 from tests.helpers import (
     exact_singleton_influences, graph_from_edges, path_graph, random_tiny_graph,
@@ -186,6 +187,19 @@ def _without_layer(live, i):
     )
 
 
+def _recorded_estimate(est, S):
+    """``est.estimate_all(S)`` and the start rows of each ``reach_batch``
+    call it made, in call order."""
+    starts = []
+
+    def recording(live, seed_b, seed_row, n_batches, blocked=None):
+        starts.append(np.asarray(seed_row))
+        return reach_batch(live, seed_b, seed_row, n_batches, blocked)
+
+    with patch.object(snapshot, "reach_batch", recording):
+        return est.estimate_all(S), starts
+
+
 def _pruned_vs_full_scan(seed, n, size, tau, chunk):
     rng = np.random.default_rng(seed)
     g = _cyclic_graph(rng, n, extra=n // 2)
@@ -194,10 +208,15 @@ def _pruned_vs_full_scan(seed, n, size, tau, chunk):
     S = rng.choice(n, size, replace=False).astype(np.int64)
     ref, base, cost = _full_scan(est, S)
     with patch.object(repro.ic, "BATCH_CELLS", chunk * n):
-        got = est.estimate_all(S)
+        got, starts = _recorded_estimate(est, S)
     assert np.array_equal(got, (ref - base).mean(axis=1))
     assert [est.vertex_cost, est.edge_cost] == cost
-    return S, ref, base
+    if size:  # the first call is the base scan, from the rows i·n + s
+        assert np.array_equal(starts.pop(0),
+                              (np.arange(tau)[:, None] * n + S).ravel())
+    walked = np.concatenate(starts) if starts else np.empty(0, np.int64)
+    assert (np.diff(est.live.indptr)[walked] > 0).all()  # no sink walks
+    return S, ref, base, walked
 
 
 @settings(max_examples=40, deadline=None)
@@ -213,10 +232,43 @@ def test_pruned_estimate_covers_every_case(size):
     # A fixed instance that holds each case the pruning distinguishes:
     # v ∈ S, v ∈ R_i(S) \ S, v ∉ R_i(S), an edgeless layer, and chunks of
     # 5 pairs that split a candidate's 4 layers.
-    S, ref, base = _pruned_vs_full_scan(7, 8, size, 4, 5)
+    S, ref, base, _ = _pruned_vs_full_scan(7, 8, size, 4, 5)
     in_reach = ref == base[None, :]  # r_i(S + v) = r_i(S) ⇔ v ∈ R_i(S)
     outside_s = np.ones(len(ref), dtype=bool)
     outside_s[S] = False
     assert in_reach[S].all()
     assert in_reach[outside_s].any() and not in_reach.all()
     assert (base == size).any()  # the edgeless layer: R_i(S) = S
+
+
+@pytest.mark.parametrize("size", [0, 1, 4])
+def test_sinks_run_no_bfs(size):
+    # Rows outside R_i(S) without a live out-edge get marginal 1 and the
+    # charge of 1 vertex and 0 edges with no BFS; the rest still walk. The
+    # helper checks values and counters against the full scan, and that no
+    # walk starts at a sink.
+    S, ref, base, walked = _pruned_vs_full_scan(3, 9, size, 4, 3)
+    outside = (ref > base[None, :]).sum()  # pairs (v, i) with v ∉ R_i(S)
+    assert 0 < len(walked) < outside  # some walked, some sinks skipped
+
+
+def test_all_sink_layers_run_only_the_base_scan():
+    # Every live graph edgeless: S empty runs no BFS at all, S non-empty
+    # only the base scan.
+    rng = np.random.default_rng(12)
+    n, tau = 6, 3
+    est = SnapshotEstimator(_cyclic_graph(rng, n, extra=3), tau, rng)
+    for i in range(tau):
+        est.live = _without_layer(est.live, i)
+    got, starts = _recorded_estimate(est, np.empty(0, np.int64))
+    assert np.array_equal(got, np.ones(n))
+    assert [est.vertex_cost, est.edge_cost] == [tau * n, 0]
+    assert starts == []
+
+    est.vertex_cost = est.edge_cost = 0
+    S = np.array([4, 1], dtype=np.int64)
+    ref, base, cost = _full_scan(est, S)
+    got, starts = _recorded_estimate(est, S)
+    assert np.array_equal(got, (ref - base).mean(axis=1))
+    assert [est.vertex_cost, est.edge_cost] == cost
+    assert len(starts) == 1
