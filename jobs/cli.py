@@ -10,9 +10,10 @@
 and also writes it to ``--out`` when given; Tables 5–7 and 9 read (and
 first run, if missing) the default sweeps. ``all`` writes
 ``trials_<profile>/`` and ``table3.md`` … ``table9.md`` under ``--out``
-(default ``results/``) from one Spark session, measuring Table 8 once for
-Tables 8 and 9. The Spark session starts at its first use: Tables 3 and 8
-run on the driver alone and start no JVM.
+(default ``results/``) from one Spark session, computing Tables 6–7 and
+Table 8 once each, for their own files and for Table 9. The Spark session
+starts at its first use: Tables 3 and 8 run on the driver alone and start
+no JVM.
 """
 import argparse
 import functools
@@ -76,16 +77,19 @@ def load_trials(spark, out_dir: str):
 
 
 def make_tables(spark, names, profile: str, trials_dir: str):
-    """Yield ``(name, markdown)`` per table; sweeps and Table 8 run once.
-    ``spark()`` returns the session; Tables 3 and 8 never call it."""
+    """Yield ``(name, markdown)`` per table; the sweeps, Tables 6–7 and
+    Table 8 run once. ``spark()`` returns the session; Tables 3 and 8
+    never call it."""
     from repro.experiments import tables
 
-    trials = t8 = None
+    trials = t67 = t8 = None
     for name in names:
         if name in ("table5", "table6", "table7", "table9") and trials is None:
             trials = load_trials(
                 spark(), run_sweeps(spark(), profile, trials_dir)
             ).cache()
+        if name in ("table6", "table7", "table9") and t67 is None:
+            t67 = tables.table6_and_7(trials)
         if name in ("table8", "table9") and t8 is None:
             t8 = tables.table8(profile)
         if name == "table3":
@@ -95,11 +99,11 @@ def make_tables(spark, names, profile: str, trials_dir: str):
         elif name == "table5":
             df = tables.table5(trials)
         elif name in ("table6", "table7"):
-            df = tables.table6_and_7(trials)[name == "table7"]
+            df = t67[name == "table7"]
         elif name == "table8":
             df = t8
         else:
-            df = tables.table9(trials, t8)
+            df = tables.table9(*t67, t8)
         if name in SORT_KEYS:
             df = df.sort_values(SORT_KEYS[name])
         yield name, tables.to_markdown(df)

@@ -7,47 +7,20 @@ monotonicity nor submodularity of the estimator is guaranteed (§3.3.1) —
 that independence is preserved here (one batch of β·|candidates| fresh
 simulations per greedy iteration).
 
-A batch of B simulations runs as one :func:`repro.ic.expand` BFS over the
-out-edges of B disjoint copies of the graph (vertex key = batch·n + v),
-with a fresh coin per examined edge. Traversal-cost accounting follows the
+A batch of B simulations is one :func:`repro.ic.reach` over the out-edges
+(``graph.out``) of B disjoint copies of the graph (vertex key =
+batch·n + v), with a fresh coin per examined edge: the traversal Snapshot
+runs over its live graphs, with coins. Traversal-cost accounting follows the
 paper's appendix: every activated vertex is scanned once (vertex cost) and
 all of its out-edges are examined (edge cost), so E[vertex cost] = Inf(S)
 and the edge cost matches Σ_w d⁺(w)·1[w activated].
 
 The sample size is 0: Oneshot stores no samples (§3.3.2).
 """
-from dataclasses import dataclass
-
 import numpy as np
 
 from repro.graphs.csr import CSRGraph
-from repro.ic import batches, expand
-
-
-@dataclass
-class SimBatchResult:
-    activated: np.ndarray  # int64[B] — |A_≤n| per simulation (includes seeds)
-    vertex_cost: int
-    edge_cost: int
-
-
-def simulate_batch(
-    graph: CSRGraph,
-    seed_b: np.ndarray,
-    seed_v: np.ndarray,
-    n_batches: int,
-    rng: np.random.Generator,
-) -> SimBatchResult:
-    """Run ``n_batches`` IC diffusions; simulation i starts from the seed
-    vertices ``seed_v[seed_b == i]``."""
-    n = graph.n
-    active, edge_cost = expand(
-        graph.out_indptr, graph.out_dst, graph.out_p,
-        seed_b.astype(np.int64) * n + seed_v, n, rng,
-        p_row=graph.out_p_row,
-    )
-    counts = np.bincount(active // n, minlength=n_batches).astype(np.int64)
-    return SimBatchResult(counts, len(active), edge_cost)
+from repro.ic import Reach, batches, reach
 
 
 def simulate_single_seeds(
@@ -56,7 +29,7 @@ def simulate_single_seeds(
     beta: int,
     rng: np.random.Generator,
     base_seeds: np.ndarray | None = None,
-) -> SimBatchResult:
+) -> Reach:
     """β simulations from ``{base_seeds} ∪ {v}`` for every candidate v, in
     :func:`repro.ic.batches`.
 
@@ -80,13 +53,14 @@ def simulate_single_seeds(
             [np.arange(B, dtype=np.int64), np.repeat(np.arange(B), len(base))]
         )
         sv = np.concatenate([chunk, np.tile(base, B)])
-        res = simulate_batch(graph, sb, sv, B, rng)
+        res = reach(graph.out, sb, sv, B, rng)
         # Fold per-simulation counts back onto candidates.
         cand_idx = (lo + np.arange(B)) // beta
-        np.add.at(totals, cand_idx, res.activated)
+        np.add.at(totals, cand_idx, res.counts)
         vertex_cost += res.vertex_cost
         edge_cost += res.edge_cost
-    return SimBatchResult(totals, vertex_cost, edge_cost)
+        del res  # frees its keys before the next batch's BFS
+    return Reach(totals, vertex_cost, edge_cost)
 
 
 class OneshotEstimator:
@@ -110,7 +84,7 @@ class OneshotEstimator:
         )
         self.vertex_cost += res.vertex_cost
         self.edge_cost += res.edge_cost
-        return res.activated / self.beta
+        return res.counts / self.beta
 
     def update(self, chosen: int) -> None:  # noqa: ARG002 — per Alg 3.2
         return None

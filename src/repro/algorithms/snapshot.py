@@ -25,9 +25,11 @@ Build, :func:`sample_live_set`, packs the τ live graphs as one graph on
 lead to rows of the same graph i. Each live graph draws its m coins in
 edge order (:func:`repro.ic.draw_hits`) and keeps the indices of its live
 edges; the live edges of all τ graphs, stacked graph by graph, are then
-already sorted by row, so one ``bincount`` lays out ``indptr``. Estimate's
-reachability queries against many (graph, seed-set) pairs run as one
-:func:`repro.ic.expand` BFS without coins, :func:`reach_batch`. Estimate
+already sorted by row, so one ``bincount`` lays out ``indptr`` of
+``LiveGraphSet.out``, an adjacency without coins. Estimate's reachability
+queries against many (graph, seed-set) pairs run as one
+:func:`repro.ic.reach` over it, :func:`reach_batch`: the traversal Oneshot
+runs with coins. Estimate
 examines only **live** out-edges, which is why Snapshot's edge cost is
 ≈ m̃/m of Oneshot's; Build's coin flips (τ·m) are not charged to
 Estimate, as in Table 8.
@@ -41,18 +43,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.graphs.csr import CSRGraph, row_indptr
-from repro.ic import batches, draw_hits, expand
+from repro.graphs.csr import Adjacency, CSRGraph, row_indptr
+from repro.ic import Reach, batches, draw_hits, reach
 
 
 @dataclass(frozen=True)
 class LiveGraphSet:
-    """τ live graphs as one CSR on τ·n rows (row i·n + v)."""
+    """τ live graphs as one graph on τ·n rows (row i·n + v): ``out`` has
+    ``indptr`` int64[τ·n + 1] and ``nbr`` int64[τ·m̃], the destination
+    rows i·n + w, and no coins."""
 
     n: int
     tau: int
-    indptr: np.ndarray  # int64[τ·n + 1]
-    dst: np.ndarray  # int64[τ·m̃] — destination rows i·n + w
+    out: Adjacency
 
 
 def sample_live_set(
@@ -60,22 +63,13 @@ def sample_live_set(
 ) -> LiveGraphSet:
     """Snapshot Build: sample τ live graphs into one graph on τ·n rows."""
     n = graph.n
-    live = [draw_hits(rng, graph.m, graph.out_p) for _ in range(tau)]
+    live = [draw_hits(rng, graph.m, graph.out.p) for _ in range(tau)]
     offset = np.repeat(np.arange(tau) * n, [len(e) for e in live])
     edge = np.concatenate(live)
     src = np.repeat(np.arange(n), graph.out_degree())
-    return LiveGraphSet(
-        n, tau, row_indptr(src[edge] + offset, tau * n),
-        graph.out_dst[edge] + offset,
-    )
-
-
-@dataclass
-class ReachBatchResult:
-    reached: np.ndarray  # int64[B] — r_G(seed set) per batch entry
-    vertex_cost: int
-    edge_cost: int
-    keys: np.ndarray  # int64 — sorted reached keys b·τ·n + row
+    return LiveGraphSet(n, tau, Adjacency(
+        row_indptr(src[edge] + offset, tau * n), graph.out.nbr[edge] + offset
+    ))
 
 
 def reach_batch(
@@ -84,20 +78,13 @@ def reach_batch(
     seed_row: np.ndarray,
     n_batches: int,
     blocked: np.ndarray | None = None,
-) -> ReachBatchResult:
+) -> Reach:
     """Batched reachability: batch entry b computes r from the rows
     ``seed_row[seed_b == b]`` (row i·n + v is vertex v of live graph i).
     Deterministic — no coins; the randomness lives in Build. ``blocked``
     (``bool[τ·n]`` over the rows) counts as already visited; see
     :func:`repro.ic.expand`."""
-    rows = live.tau * live.n
-    reached, edge_cost = expand(
-        live.indptr, live.dst, None, seed_b.astype(np.int64) * rows + seed_row,
-        rows, blocked=blocked,
-    )
-    counts = np.bincount(reached // rows, minlength=n_batches)
-    return ReachBatchResult(counts.astype(np.int64), len(reached), edge_cost,
-                            reached)
+    return reach(live.out, seed_b, seed_row, n_batches, blocked=blocked)
 
 
 class SnapshotEstimator:
@@ -111,7 +98,7 @@ class SnapshotEstimator:
         self.live = sample_live_set(graph, tau, rng)
         self.vertex_cost = 0
         self.edge_cost = 0
-        self.sample_size = len(self.live.dst)
+        self.sample_size = len(self.live.out.nbr)
 
     def _marginals(self, current: np.ndarray) -> np.ndarray:
         """r_{G(i)}(S + v) − r_{G(i)}(S) per candidate v and live graph i,
@@ -122,7 +109,7 @@ class SnapshotEstimator:
         ``reach_batch`` call each; a batch may split a candidate's
         graphs."""
         n, tau = self.graph.n, self.tau
-        indptr = self.live.indptr
+        indptr = self.live.out.indptr
         walks = indptr[1:] > indptr[:-1]  # rows with a live out-edge
         marg = np.ones(tau * n, dtype=np.int64)
         unreached = tau * n  # rows outside R_i(S)
@@ -146,7 +133,7 @@ class SnapshotEstimator:
             row = walk[lo:hi]
             B = len(row)
             res = reach_batch(self.live, np.arange(B), row, B, blocked=blocked)
-            marg[row] = res.reached
+            marg[row] = res.counts
             self.vertex_cost += res.vertex_cost
             self.edge_cost += res.edge_cost
         return marg.reshape(tau, n).T

@@ -1,10 +1,10 @@
 """Influence-distribution quality analysis (§5.2, Table 5).
 
 * Exact Greedy reference: the paper takes the unique seed set obtained once
-  the seed-set distribution degenerates (H = 0). We take the modal seed set
-  at each algorithm's largest sample number (they agree across algorithms
-  when converged — asserted by the convergence test) and its shared-oracle
-  influence as the reference.
+  the seed-set distribution degenerates (H = 0). We take one algorithm's
+  modal seed set at the instance's largest sample number (they agree
+  across algorithms when converged — asserted by the convergence test) and
+  its shared-oracle influence as the reference.
 * A trial is *near-optimal* if its influence ≥ 0.95 × reference.
 * Table 5 reports, per algorithm, the least sample number s* whose
   near-optimal fraction over T trials is ≥ 99%, and the entropy H* at s*.
@@ -23,9 +23,11 @@ INSTANCE = ["network", "setting", "k"]
 
 
 def reference_influence(trials_pdf: pd.DataFrame) -> pd.DataFrame:
-    """Per instance: modal seed set at the largest sample number and its
-    oracle influence, using the algorithm that reached the largest grid
-    value (ties → most trials, then 'ris', the paper's deepest grid)."""
+    """Per instance: the modal seed set of one algorithm at the instance's
+    largest sample number, and its oracle influence. The algorithm is
+    'ris' if it ran at that sample number (the paper's deepest grid), else
+    the first by name; a tie for the mode goes to the smallest seed-set
+    string."""
     rows = []
     for keys, g in trials_pdf.groupby(INSTANCE):
         smax = g["sample_number"].max()

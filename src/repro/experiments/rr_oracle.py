@@ -22,6 +22,9 @@ from repro.util import trial_rng
 
 # The benchmark imports the oracle type by this name.
 RROracle = RRSets
+# RR sets per distributed batch. Batch b draws from its own stream
+# trial_rng(base_seed, b), so a new value yields a different oracle.
+BATCH_SETS = 8192
 
 
 def _batch(
@@ -53,12 +56,11 @@ def build_oracle(
     graph: CSRGraph,
     theta: int,
     base_seed: int = 7,
-    batch_size: int = 8192,
 ) -> RRSets:
-    """Distributed build: the batches of :func:`_batch` fan out over
-    executors in one stage."""
+    """Distributed build: the batches of :func:`_batch`, ``BATCH_SETS``
+    sets each, fan out over executors in one stage."""
     check_ids(graph.n, theta)
-    n_batches = (theta + batch_size - 1) // batch_size
+    n_batches = (theta + BATCH_SETS - 1) // BATCH_SETS
     n_parts = max(1, min(n_batches, spark.sparkContext.defaultParallelism))
     bc = spark.sparkContext.broadcast(graph)
 
@@ -66,7 +68,7 @@ def build_oracle(
         g = bc.value
         for pdf in batches:
             for b in pdf["id"]:
-                rr_id, vertex = _batch(g, theta, base_seed, batch_size, int(b))
+                rr_id, vertex = _batch(g, theta, base_seed, BATCH_SETS, int(b))
                 yield pd.DataFrame({"rr_id": rr_id, "vertex": vertex},
                                    dtype=np.int32)
 

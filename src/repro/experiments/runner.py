@@ -31,6 +31,9 @@ from repro.graphs.csr import CSRGraph
 from repro.ic.rr import RRSets
 from repro.util import trial_rng
 
+# The sweeps' RNG root: the committed trial tables were drawn from it.
+TRIAL_SEED = 2020
+
 RESULT_SCHEMA = (
     "network string, setting string, alg string, sample_number long, "
     "k long, trial long, seed_set string, influence double, "
@@ -85,7 +88,6 @@ def run_trials(
     graph: CSRGraph,
     oracle: RRSets,
     tasks: list[TrialTask],
-    base_seed: int = 2020,
 ) -> DataFrame:
     """Fan trials out over the cluster, one task per core; returns the
     trial-result DataFrame."""
@@ -101,7 +103,7 @@ def run_trials(
         for pdf in batches:
             for p in pdf["id"]:
                 yield pd.DataFrame([
-                    run_trial_local(g, orc, task, base_seed)
+                    run_trial_local(g, orc, task, TRIAL_SEED)
                     for task in bc_tasks.value[int(p)::n_parts]
                 ])
 

@@ -2,17 +2,16 @@
 
 The sampling kernels (``repro.ic``) are NumPy frontier-expansion loops; they
 need O(1) neighbour lookup. ``from_pandas`` lays a driver-side (src, dst, p)
-edge list out as CSR (out-adjacency, for forward simulation) and CSC
-(in-adjacency, for reverse/RR sampling); a stable sort keeps each row's
-neighbours in edge-list order. The result is a plain dataclass of NumPy
-arrays, cheap to broadcast to ``mapInPandas`` workers.
+edge list out as two :class:`Adjacency` directions: ``out`` (CSR, for
+forward simulation) and ``in_`` (CSC, for reverse/RR sampling); a stable
+sort keeps each row's neighbours in edge-list order. The result is a plain
+dataclass of NumPy arrays, cheap to broadcast to ``mapInPandas`` workers.
 
 Where every edge of a row shares one probability — UC in both directions,
-IWC in-edges (1/d⁻(v)), OWC out-edges (1/d⁺(u)) — the graph also carries
-that probability per row (``out_p_row`` / ``in_p_row``), so the coin
-kernels can test a level's coins without gathering ``p`` per edge. Where
-every edge of the graph shares one p (UC), it is carried as that one
-``float``.
+IWC in-edges (1/d⁻(v)), OWC out-edges (1/d⁺(u)) — a direction also carries
+that probability per row (``Adjacency.p_row``), so the coin kernels can
+test a level's coins without gathering ``p`` per edge. Where every edge of
+the graph shares one p (UC), it is carried as that one ``float``.
 """
 from dataclasses import dataclass
 
@@ -21,36 +20,42 @@ import pandas as pd
 
 
 @dataclass(frozen=True)
+class Adjacency:
+    """One direction of a graph: row r's edges are ``indptr[r] …
+    indptr[r + 1]``, leading to rows ``nbr``. Every edge survives a coin of
+    ``p[e]``; ``p_row`` is the p every edge shares (a ``float``), or the p
+    every edge of row r shares (``float64[rows]``, 0 for empty rows), or
+    None (some row's edges differ). Without ``p`` the edges are live: they
+    draw no coin."""
+
+    indptr: np.ndarray  # int64[rows + 1]
+    nbr: np.ndarray  # int64[edges], grouped by row
+    p: np.ndarray | None = None  # float64[edges]
+    p_row: np.ndarray | float | None = None
+
+
+@dataclass(frozen=True)
 class CSRGraph:
-    """Influence graph in CSR (out) + CSC (in) form. Vertices are 0..n-1."""
+    """Influence graph as its out- and in-adjacency. Vertices are 0..n-1."""
 
     n: int
-    out_indptr: np.ndarray  # int64[n+1]
-    out_dst: np.ndarray  # int64[m], sorted by src
-    out_p: np.ndarray  # float64[m]
-    in_indptr: np.ndarray  # int64[n+1]
-    in_src: np.ndarray  # int64[m], sorted by dst
-    in_p: np.ndarray  # float64[m]
-    # float: the p shared by every edge; else float64[n]: the p shared by
-    # every edge of row v (0 for empty rows); else None (some row's edges
-    # differ in p).
-    out_p_row: np.ndarray | float | None
-    in_p_row: np.ndarray | float | None
+    out: Adjacency  # rows by src, nbr = dst
+    in_: Adjacency  # rows by dst, nbr = src
 
     @property
     def m(self) -> int:
-        return len(self.out_dst)
+        return len(self.out.nbr)
 
     @property
     def m_tilde(self) -> float:
         """Expected number of live edges, m̃ = Σ_e p(e)."""
-        return float(self.out_p.sum())
+        return float(self.out.p.sum())
 
     def out_degree(self) -> np.ndarray:
-        return np.diff(self.out_indptr)
+        return np.diff(self.out.indptr)
 
     def in_degree(self) -> np.ndarray:
-        return np.diff(self.in_indptr)
+        return np.diff(self.in_.indptr)
 
 
 def group_rows(row: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -88,21 +93,22 @@ def gather_edges(indptr: np.ndarray, frontier: np.ndarray):
     return np.arange(len(owner)) + shift[owner], owner
 
 
-def _pack(by: np.ndarray, other: np.ndarray, p: np.ndarray, n: int):
+def _direction(
+    by: np.ndarray, other: np.ndarray, p: np.ndarray, n: int
+) -> Adjacency:
+    """The edges by → other as rows by ``by``. ``p_row`` is the p every
+    edge shares exactly, as a ``float``; else each row's p if all of the
+    row's edges share it exactly; else None."""
     order, indptr = group_rows(by, n)
-    return indptr, other[order].astype(np.int64), p[order].astype(np.float64)
-
-
-def _row_p(indptr: np.ndarray, p: np.ndarray) -> np.ndarray | float | None:
-    """The p every edge shares exactly, as a ``float``; else each row's p
-    if all of the row's edges share it exactly; else None."""
+    nbr, p = other[order].astype(np.int64), p[order].astype(np.float64)
     if len(p) and (p == p[0]).all():
-        return float(p[0])
+        return Adjacency(indptr, nbr, p, float(p[0]))
     deg = np.diff(indptr)
-    row = np.zeros(len(deg))
+    row = np.zeros(n)
     nonempty = deg > 0
     row[nonempty] = p[indptr[:-1][nonempty]]
-    return row if np.array_equal(np.repeat(row, deg), p) else None
+    same = np.array_equal(np.repeat(row, deg), p)
+    return Adjacency(indptr, nbr, p, row if same else None)
 
 
 def from_pandas(pdf: pd.DataFrame, n: int | None = None) -> CSRGraph:
@@ -116,9 +122,4 @@ def from_pandas(pdf: pd.DataFrame, n: int | None = None) -> CSRGraph:
     )
     if n is None:
         n = int(max(src.max(initial=-1), dst.max(initial=-1))) + 1
-    out_indptr, out_dst, out_p = _pack(src, dst, p, n)
-    in_indptr, in_src, in_p = _pack(dst, src, p, n)
-    return CSRGraph(
-        n, out_indptr, out_dst, out_p, in_indptr, in_src, in_p,
-        _row_p(out_indptr, out_p), _row_p(in_indptr, in_p),
-    )
+    return CSRGraph(n, _direction(src, dst, p, n), _direction(dst, src, p, n))

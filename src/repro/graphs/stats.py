@@ -27,7 +27,7 @@ def clustering_coefficient(graph: CSRGraph) -> float:
     """Global clustering: 3 × triangles / connected triplets (undirected)."""
     n = graph.n
     src = np.repeat(np.arange(n), graph.out_degree())
-    u, v = np.minimum(src, graph.out_dst), np.maximum(src, graph.out_dst)
+    u, v = np.minimum(src, graph.out.nbr), np.maximum(src, graph.out.nbr)
     und = np.unique(u[u != v] * n + v[u != v])
     u, v = und // n, und % n
     deg = np.bincount(u, minlength=n) + np.bincount(v, minlength=n)
@@ -59,8 +59,8 @@ def average_distance(graph: CSRGraph) -> float:
     n = graph.n
     # Symmetrize adjacency into per-vertex neighbour lists.
     src = np.repeat(np.arange(n), graph.out_degree())
-    order, indptr = group_rows(np.concatenate([src, graph.out_dst]), n)
-    dst = np.concatenate([graph.out_dst, src])[order]
+    order, indptr = group_rows(np.concatenate([src, graph.out.nbr]), n)
+    dst = np.concatenate([graph.out.nbr, src])[order]
     total, pairs = 0, 0
     for s in range(n):
         dist = np.full(n, -1, dtype=np.int64)

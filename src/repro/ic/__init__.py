@@ -1,27 +1,32 @@
 """Independent-cascade (IC) model substrate.
 
 One frontier-expansion BFS, :func:`expand`, runs B traversals at once over
-the disjoint union of B copies of a graph (vertex key = b·n + v). The
-three sampling primitives call it: forward Monte-Carlo diffusion lives with
-Oneshot (:mod:`repro.algorithms.oneshot`), live-edge sampling and
-reachability with Snapshot (:mod:`repro.algorithms.snapshot`), and
-reverse-reachable sets, which RIS and the shared oracle both hold, in
-:mod:`repro.ic.rr`. All three run their traversals in :func:`batches`.
+B disjoint copies of one graph direction, an ``Adjacency`` (vertex key =
+b·n + v); :func:`reach` counts what each copy reaches. Oneshot's forward
+diffusions (:mod:`repro.algorithms.oneshot`) and Snapshot's reachability
+over its live graphs (:mod:`repro.algorithms.snapshot`) are both
+``reach``; the RR sets of RIS and the shared oracle (:mod:`repro.ic.rr`)
+are ``expand`` over the in-edges. All three run in :func:`batches`.
 
 Coins are drawn per examined edge, as in the paper's naive simulations;
-:func:`draw_hits` draws and tests every coin, in cache-sized blocks. Where
-every edge of a row shares one p (UC; IWC in-edges; OWC out-edges; see
-``CSRGraph.out_p_row``), a level tests its draws against the rows' p —
-against one scalar p when the whole graph shares it (UC) — and builds edge
-indices only for the surviving edges; other rows gather every edge's index
-and p. All give the same draws and the same edges. Snapshot's τ live graphs
-draw no coins: they are one graph whose rows are (live graph, vertex) pairs.
+:func:`draw_hits` draws and tests every coin, in cache-sized blocks. The
+adjacency alone fixes the coins: where every edge of a row shares one p
+(UC; IWC in-edges; OWC out-edges; ``Adjacency.p_row``), a level tests its
+draws against the rows' p — against one scalar p when the whole graph
+shares it (UC) — and builds edge indices only for the surviving edges;
+other rows gather every edge's index and p. All give the same draws and
+the same edges. Snapshot's τ live graphs draw no coins: they are one
+adjacency without ``p`` whose rows are (live graph, vertex) pairs.
 
 The visited set is a sorted key array, so memory is proportional to the
 keys visited, not to B·n. Traversal cost follows the paper (§3.2): every
 visited vertex is scanned once (vertex cost); edges examined = edge cost.
 """
+from dataclasses import dataclass
+
 import numpy as np
+
+from repro.graphs.csr import Adjacency
 
 _END = np.iinfo(np.int64).max  # sentinel closing the visited array
 # Coins drawn and tested per block (512 KiB of draws): a block is tested
@@ -62,22 +67,18 @@ def draw_hits(
 
 
 def expand(
-    indptr: np.ndarray,
-    nbr: np.ndarray,
-    p: np.ndarray | None,
+    adj: Adjacency,
     key: np.ndarray,
-    n: int,
     rng: np.random.Generator | None = None,
-    p_row: np.ndarray | float | None = None,
     blocked: np.ndarray | None = None,
 ) -> tuple[np.ndarray, int]:
-    """BFS from the keys ``key`` (b·n + v; any order, duplicates allowed).
+    """BFS over ``adj`` from the keys ``key`` (b·n + v, n the rows of
+    ``adj``; any order, duplicates allowed).
 
-    Copy b reads v's edges from ``indptr`` row v; ``nbr`` holds vertex ids
-    (0 ≤ id < n). With ``p``, edge e survives a coin with probability
-    ``p[e]``; coins are drawn per level in sorted-frontier order, then
-    adjacency order. Returns the sorted visited keys and the number of
-    edges examined.
+    Copy b reads v's edges from row v. With ``adj.p``, edge e survives a
+    coin with probability ``p[e]``; coins are drawn per level in
+    sorted-frontier order, then adjacency order. Returns the sorted visited
+    keys and the number of edges examined.
 
     Every level reads its frontier rows' edge counts once; only the coins
     differ:
@@ -85,8 +86,7 @@ def expand(
     * no ``p`` (live graphs): no coins, every edge survives;
     * no ``p_row``: ``p[e]``, gathered for every edge of the level;
     * a ``float`` ``p_row``: the p every edge shares;
-    * ``p_row[r]``: the p every edge of row r shares
-      (``CSRGraph.out_p_row`` / ``in_p_row``), repeated over the row.
+    * ``p_row[r]``: the p every edge of row r shares, repeated over the row.
 
     The first two index every edge of the level, repeating each row over
     its edges; the last two locate only the surviving edges, by binary
@@ -97,6 +97,8 @@ def expand(
     nor expanded. Edges into blocked rows are still examined and counted.
     The start keys are not tested.
     """
+    indptr, nbr, p, p_row = adj.indptr, adj.nbr, adj.p, adj.p_row
+    n = len(indptr) - 1
     frontier = np.unique(key)
     seen = np.append(frontier, _END)
     edges = 0
@@ -135,3 +137,32 @@ def expand(
         seen = np.concatenate((seen, frontier))
         seen.sort(kind="stable")
     return seen[:-1], edges
+
+
+@dataclass(frozen=True)
+class Reach:
+    """Rows reached per traversal, start rows included (or summed per
+    candidate, without ``keys``), and the traversal cost."""
+
+    counts: np.ndarray  # int64[B]
+    vertex_cost: int  # keys reached, each scanned once
+    edge_cost: int  # edges examined
+    keys: np.ndarray | None = None  # int64 — the sorted reached keys
+
+
+def reach(
+    adj: Adjacency,
+    seed_b: np.ndarray,
+    seed_v: np.ndarray,
+    n_batches: int,
+    rng: np.random.Generator | None = None,
+    blocked: np.ndarray | None = None,
+) -> Reach:
+    """``n_batches`` traversals of ``adj`` at once: traversal b starts from
+    the rows ``seed_v[seed_b == b]`` and counts the rows it reaches. See
+    :func:`expand` for the coins, ``rng`` and ``blocked``."""
+    n = len(adj.indptr) - 1
+    keys, edge_cost = expand(adj, seed_b.astype(np.int64) * n + seed_v, rng,
+                             blocked)
+    counts = np.bincount(keys // n, minlength=n_batches).astype(np.int64)
+    return Reach(counts, len(keys), edge_cost, keys)

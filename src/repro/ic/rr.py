@@ -71,9 +71,7 @@ def rr_batch(
     number of edges examined."""
     n = graph.n
     members, edge_cost = expand(
-        graph.in_indptr, graph.in_src, graph.in_p,
-        np.arange(len(targets), dtype=np.int64) * n + targets, n, rng,
-        p_row=graph.in_p_row,
+        graph.in_, np.arange(len(targets), dtype=np.int64) * n + targets, rng
     )
     rr_id, vertex = np.divmod(members, n)
     return rr_id, vertex, edge_cost

@@ -79,7 +79,7 @@ def ref_reachable(graph: CSRGraph, live_eidx: np.ndarray, seeds) -> set[int]:
     src = np.repeat(np.arange(graph.n), graph.out_degree())
     adj: dict[int, list[int]] = {}
     for e in live_eidx:
-        adj.setdefault(int(src[e]), []).append(int(graph.out_dst[e]))
+        adj.setdefault(int(src[e]), []).append(int(graph.out.nbr[e]))
     seen = set(int(s) for s in seeds)
     stack = list(seen)
     while stack:
@@ -99,10 +99,10 @@ def ref_simulate_ic(graph: CSRGraph, seeds, rng) -> int:
     while frontier:
         nxt = []
         for u in frontier:
-            lo, hi = graph.out_indptr[u], graph.out_indptr[u + 1]
+            lo, hi = graph.out.indptr[u], graph.out.indptr[u + 1]
             for e in range(lo, hi):
-                v = int(graph.out_dst[e])
-                if rng.random() < graph.out_p[e] and v not in active:
+                v = int(graph.out.nbr[e])
+                if rng.random() < graph.out.p[e] and v not in active:
                     active.add(v)
                     nxt.append(v)
         frontier = nxt
@@ -116,10 +116,10 @@ def ref_rr_set(graph: CSRGraph, target: int, rng) -> set[int]:
     while frontier:
         nxt = []
         for v in frontier:
-            lo, hi = graph.in_indptr[v], graph.in_indptr[v + 1]
+            lo, hi = graph.in_.indptr[v], graph.in_.indptr[v + 1]
             for e in range(lo, hi):
-                u = int(graph.in_src[e])
-                if rng.random() < graph.in_p[e] and u not in visited:
+                u = int(graph.in_.nbr[e])
+                if rng.random() < graph.in_.p[e] and u not in visited:
                     visited.add(u)
                     nxt.append(u)
         frontier = nxt
@@ -135,10 +135,10 @@ def ref_live_layers(graph: CSRGraph, tau: int, rng):
     dsts = []
     base = 0
     for i in range(tau):
-        mask = rng.random(graph.m) < graph.out_p
+        mask = rng.random(graph.m) < graph.out.p
         csum = np.concatenate([[0], np.cumsum(mask)]).astype(np.int64)
-        indptrs.append(csum[graph.out_indptr][1:] + base)
-        dsts.append(graph.out_dst[mask] + i * graph.n)
+        indptrs.append(csum[graph.out.indptr][1:] + base)
+        dsts.append(graph.out.nbr[mask] + i * graph.n)
         base += len(dsts[-1])
     return np.concatenate(indptrs), np.concatenate(dsts)
 
@@ -171,8 +171,8 @@ def exact_influence(graph: CSRGraph, seeds) -> float:
     if m > MAX_EDGES:
         raise ValueError(f"exact enumeration needs m <= {MAX_EDGES}, got {m}")
     src = np.repeat(np.arange(graph.n), graph.out_degree())
-    all_edges = list(zip(src.tolist(), graph.out_dst.tolist()))
-    probs = graph.out_p
+    all_edges = list(zip(src.tolist(), graph.out.nbr.tolist()))
+    probs = graph.out.p
     seed_set = set(int(s) for s in np.atleast_1d(np.asarray(seeds)))
     total = 0.0
     for pattern in itertools.product([0, 1], repeat=m):

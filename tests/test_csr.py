@@ -11,9 +11,9 @@ from tests.helpers import graph_from_edges
 def test_small_graph_layout():
     g = graph_from_edges([(0, 1, 0.5), (0, 2, 0.25), (2, 1, 1.0)], n=3)
     assert g.n == 3 and g.m == 3
-    assert list(g.out_indptr) == [0, 2, 2, 3]
-    assert sorted(g.out_dst[0:2].tolist()) == [1, 2]
-    assert list(g.in_indptr) == [0, 0, 2, 3]
+    assert list(g.out.indptr) == [0, 2, 2, 3]
+    assert sorted(g.out.nbr[0:2].tolist()) == [1, 2]
+    assert list(g.in_.indptr) == [0, 0, 2, 3]
     assert g.m_tilde == pytest.approx(1.75)
 
 
@@ -29,12 +29,12 @@ def test_out_and_in_describe_same_edges():
     g = from_pandas(pdf, n=50)
     out_edges = set()
     for v in range(g.n):
-        for e in range(g.out_indptr[v], g.out_indptr[v + 1]):
-            out_edges.add((v, int(g.out_dst[e]), round(float(g.out_p[e]), 9)))
+        for e in range(g.out.indptr[v], g.out.indptr[v + 1]):
+            out_edges.add((v, int(g.out.nbr[e]), round(float(g.out.p[e]), 9)))
     in_edges = set()
     for v in range(g.n):
-        for e in range(g.in_indptr[v], g.in_indptr[v + 1]):
-            in_edges.add((int(g.in_src[e]), v, round(float(g.in_p[e]), 9)))
+        for e in range(g.in_.indptr[v], g.in_.indptr[v + 1]):
+            in_edges.add((int(g.in_.nbr[e]), v, round(float(g.in_.p[e]), 9)))
     assert out_edges == in_edges
     assert len(out_edges) == len(pdf)  # duplicates kept as parallel edges
 
@@ -52,7 +52,7 @@ def test_degrees_match_pandas():
 
 def test_default_p_is_one():
     g = from_pandas(pd.DataFrame({"src": [0], "dst": [1]}))
-    assert g.out_p[0] == 1.0
+    assert g.out.p[0] == 1.0
 
 
 def test_n_inferred():

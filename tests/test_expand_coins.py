@@ -12,10 +12,10 @@ import numpy as np
 import pandas as pd
 import pytest
 
-from repro.algorithms.oneshot import simulate_batch
 from repro.graphs import assign_probabilities, from_pandas
+from repro.graphs.csr import Adjacency
 from repro.graphs.probability import SETTINGS
-from repro.ic import draw_hits, expand
+from repro.ic import draw_hits, expand, reach
 from repro.ic.rr import rr_batch
 
 N = 400
@@ -41,15 +41,17 @@ def _star(setting: str):
 
 
 def _directions(g):
-    out = (g.out_indptr, g.out_dst, g.out_p, g.out_p_row)
-    inn = (g.in_indptr, g.in_src, g.in_p, g.in_p_row)
-    return [d for d in (out, inn) if d[3] is not None]
+    return [d for d in (g.out, g.in_) if d.p_row is not None]
 
 
-def _run(indptr, nbr, p, key, n, seed, p_row):
+def _run(adj, key, seed):
     rng = np.random.default_rng(seed)
-    keys, edges = expand(indptr, nbr, p, key, n, rng, p_row=p_row)
+    keys, edges = expand(adj, key, rng)
     return keys, edges, rng.bit_generator.state
+
+
+def _without_row_p(adj):
+    return dataclasses.replace(adj, p_row=None)
 
 
 @pytest.mark.parametrize("setting", SETTINGS)
@@ -64,26 +66,25 @@ def test_row_coins_match_edge_coins(setting, build):
     key[:batches] = np.arange(batches) * g.n  # every copy starts at vertex 0
     directions = _directions(g)
     assert directions
-    for indptr, nbr, p, p_row in directions:
+    for adj in directions:
         for seed in range(3):
-            row = _run(indptr, nbr, p, key, g.n, seed, p_row)
-            edge = _run(indptr, nbr, p, key, g.n, seed, None)
+            row = _run(adj, key, seed)
+            edge = _run(_without_row_p(adj), key, seed)
             np.testing.assert_array_equal(row[0], edge[0])
             assert type(row[1]) is int and row[1] == edge[1]
             assert row[2] == edge[2]  # the same number of draws
 
 
 def _assert_same_kernels(g, g0, seeds, seed):
-    # simulate_batch then rr_batch on one Generator, for each graph.
+    # Forward reach then rr_batch on one Generator, for each graph.
     results = []
     for graph in (g, g0):
         rng = np.random.default_rng(seed)
-        sim = simulate_batch(graph, np.arange(len(seeds)), seeds,
-                             len(seeds), rng)
+        sim = reach(graph.out, np.arange(len(seeds)), seeds, len(seeds), rng)
         rr = rr_batch(graph, seeds, rng)
         results.append((sim, rr, rng.bit_generator.state))
     (sim, rr, state), (sim0, rr0, state0) = results
-    np.testing.assert_array_equal(sim.activated, sim0.activated)
+    np.testing.assert_array_equal(sim.counts, sim0.counts)
     assert (sim.vertex_cost, sim.edge_cost) == (sim0.vertex_cost,
                                                 sim0.edge_cost)
     for a, b in zip(rr, rr0):  # rr_id, vertex, edge count
@@ -94,7 +95,8 @@ def _assert_same_kernels(g, g0, seeds, seed):
 @pytest.mark.parametrize("setting", SETTINGS)
 def test_kernels_match_graph_without_row_p(setting):
     g = _random_graph(setting, seed=43)
-    plain = dataclasses.replace(g, out_p_row=None, in_p_row=None)
+    plain = dataclasses.replace(g, out=_without_row_p(g.out),
+                                in_=_without_row_p(g.in_))
     seeds = np.arange(0, N, 7, dtype=np.int64)
     for graph_seed in (44, 45):
         _assert_same_kernels(g, plain, seeds, graph_seed)
@@ -103,17 +105,17 @@ def test_kernels_match_graph_without_row_p(setting):
 def test_row_p_detected_per_direction():
     uc = _random_graph("UC_0.1")
     deg_out, deg_in = uc.out_degree(), uc.in_degree()
-    assert type(uc.out_p_row) is float and uc.out_p_row == 0.1
-    assert type(uc.in_p_row) is float and uc.in_p_row == 0.1
+    assert type(uc.out.p_row) is float and uc.out.p_row == 0.1
+    assert type(uc.in_.p_row) is float and uc.in_.p_row == 0.1
 
     iwc = _random_graph("IWC")
-    assert iwc.out_p_row is None
-    np.testing.assert_array_equal(iwc.in_p_row[deg_in > 0],
+    assert iwc.out.p_row is None
+    np.testing.assert_array_equal(iwc.in_.p_row[deg_in > 0],
                                   1.0 / deg_in[deg_in > 0])
 
     owc = _random_graph("OWC")
-    assert owc.in_p_row is None
-    np.testing.assert_array_equal(owc.out_p_row[deg_out > 0],
+    assert owc.in_.p_row is None
+    np.testing.assert_array_equal(owc.out.p_row[deg_out > 0],
                                   1.0 / deg_out[deg_out > 0])
 
 
@@ -121,20 +123,22 @@ def test_scalar_p_row_matches_array():
     # The float a UC graph carries and its per-row array form draw the
     # same coins against the same p.
     g = _random_graph("UC_0.1", seed=47)
-    assert isinstance(g.out_p_row, float) and isinstance(g.in_p_row, float)
+    assert isinstance(g.out.p_row, float) and isinstance(g.in_.p_row, float)
     arrays = dataclasses.replace(
         g,
-        out_p_row=np.where(g.out_degree() > 0, g.out_p_row, 0.0),
-        in_p_row=np.where(g.in_degree() > 0, g.in_p_row, 0.0),
+        out=dataclasses.replace(
+            g.out, p_row=np.where(g.out_degree() > 0, g.out.p_row, 0.0)),
+        in_=dataclasses.replace(
+            g.in_, p_row=np.where(g.in_degree() > 0, g.in_.p_row, 0.0)),
     )
     seeds = np.arange(0, N, 5, dtype=np.int64)
     key = np.arange(len(seeds)) * N + seeds
     for seed in (48, 49):
-        for (indptr, nbr, p, p_row), (*_, p_arr) in zip(
+        for adj, adj_arr in zip(
             _directions(g), _directions(arrays), strict=True
         ):
-            scalar = _run(indptr, nbr, p, key, N, seed, p_row)
-            array = _run(indptr, nbr, p, key, N, seed, p_arr)
+            scalar = _run(adj, key, seed)
+            array = _run(adj_arr, key, seed)
             np.testing.assert_array_equal(scalar[0], array[0])
             assert scalar[1:] == array[1:]
         _assert_same_kernels(g, arrays, seeds, seed)
@@ -154,8 +158,8 @@ def test_blocked_draws_match_one_draw(form):
     p_row = p if form == "float" else None
     p_edge = np.broadcast_to(p, m)
     got = np.random.default_rng(51)
-    keys, edges = expand(indptr, nbr, p_edge, np.zeros(1, np.int64), m + 1,
-                         got, p_row=p_row)
+    keys, edges = expand(Adjacency(indptr, nbr, p_edge, p_row),
+                         np.zeros(1, np.int64), got)
     np.testing.assert_array_equal(keys, np.concatenate([[0], hits + 1]))
     assert edges == m
     assert got.bit_generator.state == rng.bit_generator.state
@@ -175,7 +179,7 @@ def test_one_ulp_off_row_is_not_row_constant(direction):
     i = int(np.flatnonzero((deg_by > 1) & (deg_other == 1))[0])
     p[i] = np.nextafter(p[i], 1.0)
     g = from_pandas(edges.assign(p=p), N)
-    nudged, kept = ((g.out_p_row, g.in_p_row) if direction == "out"
-                    else (g.in_p_row, g.out_p_row))
+    nudged, kept = ((g.out.p_row, g.in_.p_row) if direction == "out"
+                    else (g.in_.p_row, g.out.p_row))
     assert nudged is None
     assert isinstance(kept, np.ndarray) and kept[edges[other][i]] == p[i]

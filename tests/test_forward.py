@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 import repro.ic
-from repro.algorithms.oneshot import simulate_batch, simulate_single_seeds
+from repro.algorithms.oneshot import simulate_single_seeds
+from repro.ic import reach
 from tests.helpers import (
     exact_influence,
     graph_from_edges,
@@ -18,10 +19,10 @@ from tests.helpers import (
 
 def _simulate(graph, seeds, rng):
     seeds = np.asarray(seeds, dtype=np.int64)
-    res = simulate_batch(
-        graph, np.zeros(len(seeds), np.int64), seeds, 1, rng
+    res = reach(
+        graph.out, np.zeros(len(seeds), np.int64), seeds, 1, rng
     )
-    return int(res.activated[0]), res
+    return int(res.counts[0]), res
 
 
 class TestDeterministic:
@@ -52,11 +53,11 @@ class TestDeterministic:
 
     def test_empty_seed_set(self):
         g = path_graph(3, p=1.0)
-        res = simulate_batch(
-            g, np.empty(0, np.int64), np.empty(0, np.int64), 2,
+        res = reach(
+            g.out, np.empty(0, np.int64), np.empty(0, np.int64), 2,
             np.random.default_rng(0),
         )
-        assert list(res.activated) == [0, 0]
+        assert list(res.counts) == [0, 0]
 
     def test_cycle_p1(self):
         g = graph_from_edges([(0, 1, 1.0), (1, 2, 1.0), (2, 0, 1.0)])
@@ -72,15 +73,15 @@ class TestUnbiasedness:
         g = random_tiny_graph(rng, n=6, m=9)
         exact = exact_influence(g, [0])
         T = 6000
-        res = simulate_batch(
-            g,
+        res = reach(
+            g.out,
             np.arange(T, dtype=np.int64),
             np.zeros(T, dtype=np.int64),
             T,
             rng,
         )
-        mean = res.activated.mean()
-        sd = res.activated.std() / np.sqrt(T)
+        mean = res.counts.mean()
+        sd = res.counts.std() / np.sqrt(T)
         assert abs(mean - exact) < max(5 * sd, 0.05)
 
     def test_matches_reference_distribution(self):
@@ -88,14 +89,15 @@ class TestUnbiasedness:
         rng = np.random.default_rng(3)
         g = random_tiny_graph(rng, n=7, m=12)
         T = 4000
-        res = simulate_batch(
-            g, np.arange(T, dtype=np.int64), np.full(T, 2, np.int64), T, rng
+        res = reach(
+            g.out, np.arange(T, dtype=np.int64), np.full(T, 2, np.int64), T,
+            rng,
         )
         ref = np.array(
             [ref_simulate_ic(g, [2], np.random.default_rng(10_000 + t)) for t in range(T)]
         )
-        se = np.sqrt(res.activated.var() / T + ref.var() / T)
-        assert abs(res.activated.mean() - ref.mean()) < max(5 * se, 0.05)
+        se = np.sqrt(res.counts.var() / T + ref.var() / T)
+        assert abs(res.counts.mean() - ref.mean()) < max(5 * se, 0.05)
 
 
 class TestCostAccounting:
@@ -103,10 +105,10 @@ class TestCostAccounting:
         rng = np.random.default_rng(4)
         g = random_tiny_graph(rng, n=8, m=14)
         T = 500
-        res = simulate_batch(
-            g, np.arange(T, dtype=np.int64), np.zeros(T, np.int64), T, rng
+        res = reach(
+            g.out, np.arange(T, dtype=np.int64), np.zeros(T, np.int64), T, rng
         )
-        assert res.vertex_cost == res.activated.sum()
+        assert res.vertex_cost == res.counts.sum()
 
     def test_edge_cost_is_outdeg_of_activated(self):
         # On a p=1 star from the hub: edge cost = d⁺(hub) + 0s.
@@ -122,7 +124,7 @@ class TestSingleSeedScan:
         rng = np.random.default_rng(0)
         res = simulate_single_seeds(g, np.arange(4, dtype=np.int64), 3, rng)
         # From vertex i the whole suffix activates: total = 3 * (4 - i).
-        assert list(res.activated) == [12, 9, 6, 3]
+        assert list(res.counts) == [12, 9, 6, 3]
 
     def test_base_seeds_included(self):
         g = path_graph(4, p=1.0)
@@ -130,7 +132,7 @@ class TestSingleSeedScan:
         res = simulate_single_seeds(
             g, np.array([3]), 2, rng, base_seeds=np.array([0])
         )
-        assert list(res.activated) == [8]  # all 4 vertices, twice
+        assert list(res.counts) == [8]  # all 4 vertices, twice
 
     def test_chunking_matches_unchunked(self):
         g = path_graph(6, p=1.0)
@@ -141,6 +143,6 @@ class TestSingleSeedScan:
             b = simulate_single_seeds(
                 g, np.arange(6, dtype=np.int64), 4, np.random.default_rng(1)
             )
-        assert list(a.activated) == list(b.activated)
+        assert list(a.counts) == list(b.counts)
         assert a.vertex_cost == b.vertex_cost
         assert a.edge_cost == b.edge_cost

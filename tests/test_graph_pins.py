@@ -13,7 +13,7 @@ import pytest
 from repro.experiments.tables import cached_graph
 
 # (network, setting): (sha256[:16] of the six CSR arrays,
-#                      out_p_row is None, in_p_row is None)
+#                      out.p_row is None, in_.p_row is None)
 PINS = {
     ("Karate", "UC_0.1"): ("16e7dcce1363ab53", False, False),
     ("Karate", "UC_0.01"): ("becb03b21361a38e", False, False),
@@ -52,7 +52,8 @@ PINS = {
 
 def _digest(g) -> str:
     h = hashlib.sha256()
-    for a in (g.out_indptr, g.out_dst, g.out_p, g.in_indptr, g.in_src, g.in_p):
+    for a in (g.out.indptr, g.out.nbr, g.out.p, g.in_.indptr, g.in_.nbr,
+              g.in_.p):
         h.update(str(a.dtype).encode())
         h.update(str(a.shape).encode())
         h.update(np.ascontiguousarray(a).tobytes())
@@ -62,6 +63,6 @@ def _digest(g) -> str:
 @pytest.mark.parametrize("network,setting", list(PINS))
 def test_graph_pinned(network, setting):
     g = cached_graph(None, network, setting)
-    assert (_digest(g), g.out_p_row is None, g.in_p_row is None) == PINS[
+    assert (_digest(g), g.out.p_row is None, g.in_.p_row is None) == PINS[
         network, setting
     ]

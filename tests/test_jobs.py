@@ -92,7 +92,9 @@ def test_table3_job():
 
 
 def test_table4_job(spark):
+    cached = dict(tables._ORACLE_CACHE)
     t4 = tables.table4(spark, theta=1 << 13)
+    assert tables._ORACLE_CACHE == cached  # Table 4's oracles are not kept
     assert len(t4) == 8  # 2 networks × 4 settings
     assert (t4["inf_1st"] >= t4["inf_2nd"]).all()
     assert (t4["inf_2nd"] >= t4["inf_3rd"]).all()
@@ -143,7 +145,7 @@ def test_table8_job():
 
 def test_table9_job(spark, trials):
     t8 = tables.table8(profile="test")
-    t9 = tables.table9(trials, t8)
+    t9 = tables.table9(*tables.table6_and_7(trials), t8)
     assert set(t9["alg"]) == {"oneshot", "snapshot", "ris"}
     assert (t9["cost_per_gamma"].dropna() > 0).all()
 

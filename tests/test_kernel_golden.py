@@ -80,7 +80,7 @@ def _forward(g):
             g, np.arange(g.n, dtype=np.int64), 3, np.random.default_rng(11),
             base_seeds=np.array([5, 0, 5], dtype=np.int64),
         )
-    return res.vertex_cost, res.edge_cost, _digest(res.activated)
+    return res.vertex_cost, res.edge_cost, _digest(res.counts)
 
 
 def _snapshot(g):

@@ -17,12 +17,10 @@ import numpy as np
 import pandas as pd
 import pytest
 
-from repro.algorithms.oneshot import simulate_batch
-from repro.algorithms.snapshot import (
-    SnapshotEstimator, reach_batch, sample_live_set,
-)
+from repro.algorithms.snapshot import SnapshotEstimator, sample_live_set
 from repro.graphs import generators
 from repro.graphs.csr import from_pandas
+from repro.ic import reach
 from repro.ic.rr import random_targets, rr_batch
 
 N = 50_000
@@ -69,10 +67,10 @@ def test_reach_batch_peak_memory(sparse_graph):
 
     def run():
         nonlocal res
-        res = reach_batch(live, np.arange(BATCH), rows, BATCH)
+        res = reach(live.out, np.arange(BATCH), rows, BATCH)
 
     assert _peak_bytes(run) < LIMIT
-    assert res.reached.min() >= 1 and len(res.reached) == BATCH
+    assert res.counts.min() >= 1 and len(res.counts) == BATCH
 
 
 BUILD_TAU = 64
@@ -89,7 +87,7 @@ def test_snapshot_build_peak_memory(sparse_graph):
 
     assert _peak_bytes(run) < BUILD_LIMIT
     assert live.tau == BUILD_TAU
-    assert len(live.indptr) == BUILD_TAU * N + 1
+    assert len(live.out.indptr) == BUILD_TAU * N + 1
 
 
 SNAPSHOT_LIMIT = 16 << 20  # bytes; τ·n candidate scans of R_i(S) ≈ 200 MB
@@ -133,8 +131,8 @@ def test_simulate_batch_coin_memory_per_edge():
 
     def run():
         nonlocal res
-        res = simulate_batch(g, np.zeros(1, np.int64), np.zeros(1, np.int64),
-                             1, rng)
+        res = reach(g.out, np.zeros(1, np.int64), np.zeros(1, np.int64), 1,
+                    rng)
 
     peak = _peak_bytes(run)
     assert res.edge_cost == STAR_EDGES

@@ -2,7 +2,9 @@
 import numpy as np
 import pytest
 
-from repro.experiments.rr_oracle import build_oracle, build_oracle_local
+from repro.experiments.rr_oracle import (
+    BATCH_SETS, build_oracle, build_oracle_local,
+)
 from repro.graphs import assign_probabilities, build_network_pandas, from_pandas
 from repro.ic.rr import random_targets, rr_batch
 from repro.util import trial_rng
@@ -57,12 +59,12 @@ def test_distributed_build_matches_batchwise_reference(spark, karate_graph):
     # More batches than cores, and a short last batch: the Spark build must
     # equal the batches generated one by one, with batch b's RR ids offset
     # by b·batch_size and the ids ascending within each vertex.
-    batch_size = 64
+    batch_size = BATCH_SETS
     n_batches = 2 * spark.sparkContext.defaultParallelism + 1
     theta = (n_batches - 1) * batch_size + 37
     base_seed = 11
     n = karate_graph.n
-    dist = build_oracle(spark, karate_graph, theta, base_seed, batch_size)
+    dist = build_oracle(spark, karate_graph, theta, base_seed)
 
     rr_id, vertex = [], []
     for b in range(n_batches):
@@ -85,8 +87,8 @@ def test_distributed_build_matches_batchwise_reference(spark, karate_graph):
 def test_single_batch_build_equals_local(spark, karate_graph):
     # The local build is batch 0 of the distributed one.
     theta, base_seed = 3000, 5
-    dist = build_oracle(spark, karate_graph, theta, base_seed,
-                        batch_size=theta)
+    assert theta <= BATCH_SETS  # one batch
+    dist = build_oracle(spark, karate_graph, theta, base_seed)
     local = build_oracle_local(karate_graph, theta, base_seed)
     assert (dist.n, dist.theta) == (local.n, local.theta)
     assert np.array_equal(dist.vert_indptr, local.vert_indptr)

@@ -5,6 +5,7 @@ from pyspark.sql import functions as F
 
 from repro.experiments.rr_oracle import build_oracle_local
 from repro.experiments.runner import (
+    TRIAL_SEED,
     TrialTask,
     run_trial_local,
     run_trials,
@@ -102,7 +103,7 @@ def test_run_trials_matches_local(spark, karate):
     dist = {tuple(r[c] for c in key): r.asDict() for r in df.collect()}
     assert len(dist) == len(tasks)
     for t in tasks:
-        local = run_trial_local(g, oracle, t, base_seed=2020)
+        local = run_trial_local(g, oracle, t, base_seed=TRIAL_SEED)
         assert dist[tuple(local[c] for c in key)] == local
 
 

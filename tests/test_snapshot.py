@@ -9,6 +9,8 @@ from hypothesis import given, settings, strategies as st
 import repro.ic
 from repro.algorithms import snapshot
 from repro.algorithms.snapshot import SnapshotEstimator, reach_batch
+from repro.graphs.csr import Adjacency
+from repro.ic import reach
 from tests.helpers import (
     exact_singleton_influences, graph_from_edges, path_graph, random_tiny_graph,
 )
@@ -109,7 +111,7 @@ def test_chunking_consistency():
 
 @pytest.mark.parametrize("seeds", [[], [4], [4, 0, 9]])
 def test_reach_from_matches_per_candidate_reference(seeds):
-    # The vectorised candidate batches equal one reach_batch call per
+    # The vectorised candidate batches equal one reach call per
     # (candidate, layer) pair, in values and in charged cost — with chunks
     # of 7 pairs that split a candidate's 5 layers, and candidates in S.
     rng = np.random.default_rng(21)
@@ -123,9 +125,9 @@ def test_reach_from_matches_per_candidate_reference(seeds):
     def ref_reach(seed_set):
         row = []
         for i in layers:
-            res = reach_batch(est.live, np.zeros(len(seed_set), np.int64),
-                              i * g.n + np.asarray(seed_set, np.int64), 1)
-            row.append(res.reached[0])
+            res = reach(est.live.out, np.zeros(len(seed_set), np.int64),
+                        i * g.n + np.asarray(seed_set, np.int64), 1)
+            row.append(res.counts[0])
             ref_cost[0] += res.vertex_cost
             ref_cost[1] += res.edge_cost
         return row
@@ -142,23 +144,23 @@ def test_reach_from_matches_per_candidate_reference(seeds):
 
 
 def _full_scan(est, S):
-    """Alg 3.3 walked naively: one ``reach_batch`` for r_i(S) per layer
+    """Alg 3.3 walked naively: one ``reach`` for r_i(S) per layer
     (when S is non-empty), then one from S + v per candidate v and layer i.
     Returns the r_i(S + v) matrix, the r_i(S) row and the [vertex, edge]
     cost of those scans."""
     cost = [0, 0]
 
-    def reach(seeds, i):
-        res = reach_batch(est.live, np.zeros(len(seeds), np.int64),
-                          i * est.graph.n + np.asarray(seeds, np.int64), 1)
+    def scan(seeds, i):
+        res = reach(est.live.out, np.zeros(len(seeds), np.int64),
+                    i * est.graph.n + np.asarray(seeds, np.int64), 1)
         cost[0] += res.vertex_cost
         cost[1] += res.edge_cost
-        return res.reached[0]
+        return res.counts[0]
 
     layers = range(est.tau)
-    base = np.array([reach(S, i) for i in layers] if len(S) else
+    base = np.array([scan(S, i) for i in layers] if len(S) else
                     np.zeros(est.tau, np.int64))
-    ref = np.array([[reach(np.append(S, v), i) for i in layers]
+    ref = np.array([[scan(np.append(S, v), i) for i in layers]
                     for v in range(est.graph.n)])
     return ref, base, cost
 
@@ -178,12 +180,12 @@ def _cyclic_graph(rng, n, extra):
 def _without_layer(live, i):
     """``live`` with every edge of layer i removed."""
     n = live.n
-    lo, hi = live.indptr[i * n], live.indptr[(i + 1) * n]
-    indptr = live.indptr.copy()
+    lo, hi = live.out.indptr[i * n], live.out.indptr[(i + 1) * n]
+    indptr = live.out.indptr.copy()
     indptr[i * n + 1 : (i + 1) * n + 1] = lo
     indptr[(i + 1) * n + 1 :] -= hi - lo
     return dataclasses.replace(
-        live, indptr=indptr, dst=np.delete(live.dst, np.s_[lo:hi])
+        live, out=Adjacency(indptr, np.delete(live.out.nbr, np.s_[lo:hi]))
     )
 
 
@@ -215,7 +217,7 @@ def _pruned_vs_full_scan(seed, n, size, tau, chunk):
         assert np.array_equal(starts.pop(0),
                               (np.arange(tau)[:, None] * n + S).ravel())
     walked = np.concatenate(starts) if starts else np.empty(0, np.int64)
-    assert (np.diff(est.live.indptr)[walked] > 0).all()  # no sink walks
+    assert (np.diff(est.live.out.indptr)[walked] > 0).all()  # no sink walks
     return S, ref, base, walked
 
 

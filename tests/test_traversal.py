@@ -114,7 +114,7 @@ class TestTable9Arithmetic:
 
     def test_cost_per_gamma(self):
         t8, t6, t7 = self._frames()
-        t9 = traversal.table9_rows(t8, t6, t7)
+        t9 = tables.table9(t6, t7, t8)
         by_alg = t9.set_index("alg")["cost_per_gamma"]
         assert by_alg["oneshot"] == 1000.0 * 2.0
         assert by_alg["snapshot"] == 200.0
@@ -123,7 +123,7 @@ class TestTable9Arithmetic:
     def test_missing_ratio_gives_nan(self):
         t8, t6, t7 = self._frames()
         t6 = t6[t6["network"] != "N"]
-        t9 = traversal.table9_rows(t8, t6, t7)
+        t9 = tables.table9(t6, t7, t8)
         one = t9[t9["alg"] == "oneshot"]["cost_per_gamma"].iloc[0]
         assert np.isnan(one)
 
@@ -133,5 +133,5 @@ class TestTable9Arithmetic:
             [t6, pd.DataFrame([{"network": "N", "setting": "S", "k": 4,
                                 "median_number_ratio": 999.0, "n_points": 3}])]
         )
-        t9 = traversal.table9_rows(t8, t6, t7)
+        t9 = tables.table9(t6, t7, t8)
         assert t9[t9["alg"] == "oneshot"]["cost_per_gamma"].iloc[0] == 2000.0
